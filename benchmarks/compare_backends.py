@@ -10,8 +10,9 @@ Usage:
     python benchmarks/compare_backends.py --optimal-sizes 5,7,9 --greedy-sizes 9,11 --repeats 3
     python benchmarks/compare_backends.py --csv backends.csv
 
-The compiled backend is built by `pip install -e .`; if only the pure
-backend is importable the script still runs and says so.
+The compiled backend is the C++ kernel that `import prodplan` builds into
+the user cache on first use (see the README's Install section); if it
+cannot be built, the script runs the pure backend alone and says so.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def main(argv=None):
 
     backends = available_backends()
     if "compiled" not in backends:
-        print("warning: compiled backend not importable, pure only", file=sys.stderr)
+        print("warning: compiled backend not available, pure only", file=sys.stderr)
 
     cases = [demo_case()]
     for size in args.optimal_sizes.split(","):

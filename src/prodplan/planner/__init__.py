@@ -1,95 +1,17 @@
 """Embedded forward-search planner over ground STRIPS tasks.
 
-Two interchangeable backends: a pure-Python one and a compiled
-extension. The compiled one is picked when importable unless
-PRODPLAN_PURE=1 forces the fallback.
-
-A source checkout has no built extension, only the committed
-Cython-generated ``_speedups.cpp``. On first import that file is
-compiled with the interpreter's own C++ compiler into a per-user cache
-directory (``$XDG_CACHE_HOME/prodplan``, default ``~/.cache/prodplan``),
-keyed by the source's hash and the interpreter's extension suffix, and
-later imports load it from there. Without a compiler, headers or a
-writable cache the pure core is used.
+Two interchangeable backends: a pure-Python one (``_pysearch``) and a
+compiled C++ kernel (``_kernel``), built into a per-user cache on first
+import and loaded through ctypes. The compiled one is picked when it
+loads; without a compiler or a writable cache the pure core is used.
 """
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import os
-import shlex
-import subprocess
-import sys
-import sysconfig
-import tempfile
-from pathlib import Path
-
-from . import _pysearch
+from . import _kernel, _pysearch
 from .grounding import GroundAction, GroundTask, ground
 
-_SPEEDUPS_SOURCE = Path(__file__).with_name("_speedups.cpp")
-# Compiling the 22k-line generated source takes about 10 s with g++ -O3
-# on a 2-core x86-64 machine.
-_BUILD_TIMEOUT_S = 600
-
-
-def _build_cached_speedups():
-    """Compile the committed ``_speedups.cpp`` into the user cache and load it.
-
-    Raises OSError, SubprocessError or ImportError when the source, a
-    compiler, the Python headers or a writable cache is missing.
-    """
-    source = _SPEEDUPS_SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    target = cache / "prodplan" / f"_speedups-{digest}{suffix}"
-    if not target.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-        compiler = shlex.split(sysconfig.get_config_var("CXX") or "c++")
-        includes = {sysconfig.get_path("include"), sysconfig.get_path("platinclude")}
-        # A unique temporary name and an atomic rename: concurrent
-        # importers never load a half-written module.
-        fd, tmp = tempfile.mkstemp(suffix=suffix, dir=target.parent)
-        os.close(fd)
-        try:
-            subprocess.run(
-                [*compiler, "-O3", "-std=c++11", "-shared", "-fPIC"]
-                + [f"-I{d}" for d in sorted(includes)]
-                + [str(_SPEEDUPS_SOURCE), "-o", tmp],
-                check=True,
-                capture_output=True,
-                timeout=_BUILD_TIMEOUT_S,
-            )
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    name = f"{__name__}._speedups"
-    spec = importlib.util.spec_from_file_location(name, target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
-def _load_compiled():
-    if os.environ.get("PRODPLAN_PURE", "") == "1":
-        return None
-    try:
-        from . import _speedups
-
-        return _speedups
-    except ImportError:
-        pass
-    try:
-        return _build_cached_speedups()
-    except (OSError, subprocess.SubprocessError, ImportError):
-        return None
-
-
-_compiled = _load_compiled()
+_compiled = _kernel if _kernel.LIB is not None else None
 
 
 def backend_name() -> str:

@@ -1,0 +1,579 @@
+// Compiled search core of the embedded planner.
+//
+// Plain C++11 behind a C ABI, compiled on demand and loaded through
+// ctypes by _kernel.py; it needs no Python headers. It mirrors
+// _pysearch.py step for step (action scan order, tie-breaking, deferred
+// evaluation, limit checks), so both cores return the same statuses,
+// plans and counters.
+//
+// A state is a set of fluents packed into 64-bit words. Every distinct
+// state is stored once in a registry and known by its index there; g
+// values and parent links live in tables indexed the same way.
+//
+// An action set arrives as three flat arrays. For action a, the fluents
+// of its positive preconditions, negative preconditions, add effects and
+// delete effects are fluents[start[4a] .. start[4a+1]), then up to
+// start[4a+2], start[4a+3] and start[4a+4]; its cost is cost[a].
+
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <limits>
+#include <new>
+#include <queue>
+#include <utility>
+#include <vector>
+
+namespace {
+
+typedef uint64_t Word;
+
+enum Status { SOLVED = 0, UNSOLVABLE = 1, TIMEOUT = 2, MEMOUT = 3 };
+enum Part { PRE_POS = 0, PRE_NEG = 1, ADD = 2, DEL = 3, PARTS = 4 };
+const int MODE_GREEDY = 1;
+const int H_BLIND = 0;
+
+const double INF = std::numeric_limits<double>::infinity();
+const int64_t UNREACHED = int64_t(1) << 62;
+// time limits are checked whenever the expansion count is a multiple of 128
+const int64_t CHECK_MASK = 0x7F;
+
+// The arrays stay the caller's; the kernel reads them during the call.
+struct ActionSet {
+    int n;
+    const int* start;
+    const int* fluents;
+    const int64_t* cost;
+
+    const int* begin(int a, int part) const { return fluents + start[PARTS * a + part]; }
+    const int* end(int a, int part) const { return fluents + start[PARTS * a + part + 1]; }
+};
+
+int words_for(int n_fluents) { return n_fluents > 64 ? (n_fluents + 63) >> 6 : 1; }
+
+void set_bits(Word* mask, const int* first, const int* last) {
+    for (; first != last; ++first) mask[*first >> 6] |= Word(1) << (*first & 63);
+}
+
+// Actions as word masks: preconditions to test, add effects and the
+// complement of the delete effects to apply.
+class Masks {
+  public:
+    Masks(const ActionSet& actions, int words)
+        : n_(actions.n), words_(words), bits_(size_t(actions.n) * PARTS * words, 0) {
+        for (int a = 0; a < n_; ++a) {
+            for (int part = 0; part < PARTS; ++part)
+                set_bits(row(a, part), actions.begin(a, part), actions.end(a, part));
+            Word* keep = row(a, DEL);
+            for (int w = 0; w < words_; ++w) keep[w] = ~keep[w];
+        }
+    }
+
+    int size() const { return n_; }
+
+    bool applicable(int a, const Word* state) const {
+        const Word* pos = row(a, PRE_POS);
+        const Word* neg = row(a, PRE_NEG);
+        for (int w = 0; w < words_; ++w)
+            if ((state[w] & pos[w]) != pos[w] || (state[w] & neg[w])) return false;
+        return true;
+    }
+
+    void apply(int a, const Word* state, Word* out) const {
+        const Word* add = row(a, ADD);
+        const Word* keep = row(a, DEL);
+        for (int w = 0; w < words_; ++w) out[w] = (state[w] & keep[w]) | add[w];
+    }
+
+  private:
+    Word* row(int a, int part) { return &bits_[(size_t(a) * PARTS + part) * words_]; }
+    const Word* row(int a, int part) const { return &bits_[(size_t(a) * PARTS + part) * words_]; }
+
+    int n_, words_;
+    std::vector<Word> bits_;
+};
+
+// Delete-relaxed cost of reaching the goal fluents from a state, ignoring
+// negative conditions: hmax (a fluent costs the most expensive
+// precondition plus the action) or hadd (the sum of the preconditions).
+// Costs are integers, so a queue of buckets indexed by cost finds the
+// same values as the pure core's Dijkstra sweep.
+class Heuristic {
+  public:
+    Heuristic(int n_fluents, const ActionSet& actions, const int* goal, int n_goal, bool use_sum)
+        : n_fluents_(n_fluents), actions_(actions), use_sum_(use_sum),
+          cons_start_(n_fluents + 1, 0), pre_count_(actions.n), is_goal_(n_fluents, 0),
+          value_(n_fluents), agg_(actions.n), done_(n_fluents), buckets_(1) {
+        // consumers of each fluent, in action order (CSR)
+        for (int a = 0; a < actions.n; ++a)
+            for (const int* f = actions.begin(a, PRE_POS); f != actions.end(a, PRE_POS); ++f)
+                ++cons_start_[*f + 1];
+        for (int f = 0; f < n_fluents_; ++f) cons_start_[f + 1] += cons_start_[f];
+        cons_action_.resize(cons_start_[n_fluents_]);
+        std::vector<int> fill(cons_start_.begin(), cons_start_.end() - 1);
+        for (int a = 0; a < actions.n; ++a) {
+            pre_count_[a] = int(actions.end(a, PRE_POS) - actions.begin(a, PRE_POS));
+            for (const int* f = actions.begin(a, PRE_POS); f != actions.end(a, PRE_POS); ++f)
+                cons_action_[fill[*f]++] = a;
+        }
+        for (int i = 0; i < n_goal; ++i) {
+            if (!is_goal_[goal[i]]) goals_.push_back(goal[i]);
+            is_goal_[goal[i]] = 1;
+        }
+    }
+
+    double operator()(const Word* state) {
+        if (goals_.empty()) return 0.0;
+        for (size_t i = 0; i < dirty_.size(); ++i) buckets_[dirty_[i]].clear();
+        dirty_.clear();
+        std::fill(value_.begin(), value_.end(), UNREACHED);
+        std::fill(done_.begin(), done_.end(), 0);
+        std::fill(agg_.begin(), agg_.end(), 0);
+        remaining_ = pre_count_;
+        for (int w = 0; w * 64 < n_fluents_; ++w)
+            for (Word bits = state[w]; bits; bits &= bits - 1)
+                reach(w * 64 + __builtin_ctzll(bits), 0);
+        for (int a = 0; a < actions_.n; ++a)
+            if (remaining_[a] == 0) fire(a, actions_.cost[a]);
+        size_t goal_left = goals_.size();
+        for (size_t cur = 0; cur < buckets_.size() && goal_left > 0; ++cur) {
+            // fire() may append to this bucket and grow buckets_: index afresh
+            for (size_t k = 0; k < buckets_[cur].size(); ++k) {
+                int f = buckets_[cur][k];
+                if (done_[f] || value_[f] != int64_t(cur)) continue;
+                done_[f] = 1;
+                if (is_goal_[f] && --goal_left == 0) break;
+                for (int j = cons_start_[f]; j < cons_start_[f + 1]; ++j) {
+                    int a = cons_action_[j];
+                    if (use_sum_)
+                        agg_[a] += int64_t(cur);
+                    else if (int64_t(cur) > agg_[a])
+                        agg_[a] = int64_t(cur);
+                    if (--remaining_[a] == 0) fire(a, agg_[a] + actions_.cost[a]);
+                }
+            }
+        }
+        int64_t total = 0;
+        for (size_t i = 0; i < goals_.size(); ++i) {
+            int64_t v = value_[goals_[i]];
+            if (v >= UNREACHED) return INF;
+            if (use_sum_)
+                total += v;
+            else if (v > total)
+                total = v;
+        }
+        return double(total);
+    }
+
+  private:
+    void fire(int a, int64_t cost) {
+        for (const int* f = actions_.begin(a, ADD); f != actions_.end(a, ADD); ++f) reach(*f, cost);
+    }
+
+    void reach(int f, int64_t cost) {
+        if (cost >= value_[f]) return;
+        value_[f] = cost;
+        if (size_t(cost) >= buckets_.size()) buckets_.resize(size_t(cost) + 1);
+        if (buckets_[cost].empty()) dirty_.push_back(cost);
+        buckets_[cost].push_back(f);
+    }
+
+    int n_fluents_;
+    ActionSet actions_;
+    bool use_sum_;
+    std::vector<int> cons_start_, cons_action_;
+    std::vector<int> pre_count_;
+    std::vector<int> goals_;  // distinct goal fluents
+    std::vector<char> is_goal_;
+    // scratch, reused across calls
+    std::vector<int64_t> value_, agg_;
+    std::vector<int> remaining_;
+    std::vector<char> done_;
+    std::vector<std::vector<int> > buckets_;
+    std::vector<int64_t> dirty_;  // buckets that hold entries
+};
+
+// Interns states: each distinct state is copied once into a pool and
+// gets the next index; an open-addressing table maps states to indices.
+class StateRegistry {
+  public:
+    explicit StateRegistry(int words) : words_(words), size_(0), slots_(1 << 10, -1) {}
+
+    int size() const { return size_; }
+    const Word* operator[](int id) const { return &pool_[size_t(id) * words_]; }
+
+    // Returns the index of the state and whether it was new.
+    std::pair<int, bool> insert(const Word* state) {
+        if (2 * size_t(size_) >= slots_.size()) grow();
+        size_t i = probe(state);
+        if (slots_[i] >= 0) return std::make_pair(slots_[i], false);
+        pool_.insert(pool_.end(), state, state + words_);
+        slots_[i] = size_;
+        return std::make_pair(size_++, true);
+    }
+
+  private:
+    size_t hash(const Word* state) const {
+        uint64_t h = 0x9E3779B97F4A7C15ULL;
+        for (int w = 0; w < words_; ++w) {
+            h ^= state[w];
+            h ^= h >> 33;
+            h *= 0xFF51AFD7ED558CCDULL;
+            h ^= h >> 33;
+        }
+        return size_t(h);
+    }
+
+    // the slot holding the state, or the empty slot where it belongs
+    size_t probe(const Word* state) const {
+        size_t mask = slots_.size() - 1;
+        for (size_t i = hash(state) & mask;; i = (i + 1) & mask) {
+            int id = slots_[i];
+            if (id < 0 || std::memcmp((*this)[id], state, words_ * sizeof(Word)) == 0) return i;
+        }
+    }
+
+    void grow() {
+        std::vector<int> old(slots_.size() * 2, -1);
+        old.swap(slots_);
+        for (int id = 0; id < size_; ++id) slots_[probe((*this)[id])] = id;
+    }
+
+    int words_;
+    int size_;
+    std::vector<Word> pool_;
+    std::vector<int> slots_;
+};
+
+struct Entry {
+    double f, h;
+    int64_t seq, g;
+    int sid;
+};
+
+// priority_queue pops its largest element: order by (f, h, seq) reversed
+struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+        if (a.f != b.f) return a.f > b.f;
+        if (a.h != b.h) return a.h > b.h;
+        return a.seq > b.seq;
+    }
+};
+
+typedef std::priority_queue<Entry, std::vector<Entry>, Later> OpenList;
+
+double monotonic() {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch()).count();
+}
+
+// A time limit of 0 means no limit.
+class Deadline {
+  public:
+    explicit Deadline(double seconds) : set_(seconds != 0), at_(monotonic() + seconds) {}
+    bool passed() const { return set_ && monotonic() > at_; }
+
+  private:
+    bool set_;
+    double at_;
+};
+
+struct Goal {
+    std::vector<Word> pos, neg;
+
+    Goal(int words, const int* goal_pos, int n_pos, const int* goal_neg, int n_neg)
+        : pos(words, 0), neg(words, 0) {
+        set_bits(&pos[0], goal_pos, goal_pos + n_pos);
+        set_bits(&neg[0], goal_neg, goal_neg + n_neg);
+    }
+
+    bool holds(const Word* state) const {
+        for (size_t w = 0; w < pos.size(); ++w)
+            if ((state[w] & pos[w]) != pos[w] || (state[w] & neg[w])) return false;
+        return true;
+    }
+};
+
+std::vector<Word> pack(int words, const int* fluents, int n) {
+    std::vector<Word> state(words, 0);
+    set_bits(&state[0], fluents, fluents + n);
+    return state;
+}
+
+// The search's findings; plans are action indices in application order.
+struct Result {
+    int64_t expanded, generated, cost;
+    std::vector<int> plan, plan_b;
+
+    Result() : expanded(0), generated(0), cost(0) {}
+};
+
+// Action indices along the parent links from the root to sid.
+std::vector<int> unwind(const std::vector<int>& parent_action,
+                        const std::vector<int>& parent_state, int sid) {
+    std::vector<int> steps;
+    for (; parent_action[sid] >= 0; sid = parent_state[sid]) steps.push_back(parent_action[sid]);
+    return std::vector<int>(steps.rbegin(), steps.rend());
+}
+
+int run_search(int n_fluents, const std::vector<Word>& start, const Goal& goal,
+               const int* goal_pos, int n_goal_pos, const ActionSet& actions, int mode,
+               int heuristic, const Deadline& deadline, int64_t node_limit, Result& out) {
+    const int words = words_for(n_fluents);
+    const Masks masks(actions, words);
+    const bool greedy = mode == MODE_GREEDY;
+    const bool informed = greedy || heuristic != H_BLIND;
+    Heuristic h_of(n_fluents, actions, goal_pos, n_goal_pos, greedy);
+
+    const double h0 = informed ? h_of(&start[0]) : 0.0;
+    if (h0 == INF) return UNSOLVABLE;
+
+    StateRegistry states(words);
+    states.insert(&start[0]);
+    std::vector<int64_t> g_best(1, 0);
+    std::vector<int> parent_action(1, -1), parent_state(1, 0);
+    OpenList open;
+    open.push(Entry{h0, h0, 0, 0, 0});
+    std::vector<Word> state(words), succ(words);
+    int64_t seq = 0;
+
+    while (!open.empty()) {
+        if ((out.expanded & CHECK_MASK) == 0 && deadline.passed()) return TIMEOUT;
+        const Entry e = open.top();
+        open.pop();
+        if (e.g != g_best[e.sid]) continue;  // superseded by a cheaper path
+        std::memcpy(&state[0], states[e.sid], words * sizeof(Word));
+        if (goal.holds(&state[0])) {
+            out.plan = unwind(parent_action, parent_state, e.sid);
+            out.cost = e.g;
+            return SOLVED;
+        }
+        double h_here = 0.0;
+        if (greedy) {
+            h_here = h_of(&state[0]);
+            if (h_here == INF) continue;  // relaxed dead end, never expand
+        }
+        ++out.expanded;
+        for (int a = 0; a < masks.size(); ++a) {
+            if (!masks.applicable(a, &state[0])) continue;
+            masks.apply(a, &state[0], &succ[0]);
+            const int64_t ng = e.g + actions.cost[a];
+            const std::pair<int, bool> found = states.insert(&succ[0]);
+            const int nid = found.first;
+            if (found.second) {
+                g_best.push_back(ng);
+                parent_action.push_back(a);
+                parent_state.push_back(e.sid);
+            } else {
+                if (greedy || g_best[nid] <= ng) continue;
+                g_best[nid] = ng;
+                parent_action[nid] = a;
+                parent_state[nid] = e.sid;
+            }
+            ++out.generated;
+            ++seq;
+            if (greedy) {
+                // deferred evaluation: queue under the parent's h
+                open.push(Entry{h_here, h_here, seq, ng, nid});
+            } else {
+                const double h = informed ? h_of(&succ[0]) : 0.0;
+                if (h == INF) continue;
+                open.push(Entry{double(ng) + h, h, seq, ng, nid});
+            }
+        }
+        if (node_limit != 0 && states.size() > node_limit) return MEMOUT;
+    }
+    return UNSOLVABLE;
+}
+
+// One side of the two-frontier search; g is -1 where the side has not
+// recorded a state.
+struct Frontier {
+    Masks masks;
+    const int64_t* cost;
+    Heuristic h_of;
+    OpenList open;
+    int64_t seq;
+    std::vector<int64_t> g;
+    std::vector<int> parent_action, parent_state;
+
+    Frontier(int n_fluents, const ActionSet& actions, const int* target, int n_target)
+        : masks(actions, words_for(n_fluents)), cost(actions.cost),
+          h_of(n_fluents, actions, target, n_target, true), seq(0) {}
+
+    void track(int64_t g0) {
+        g.push_back(g0);
+        parent_action.push_back(-1);
+        parent_state.push_back(0);
+    }
+};
+
+int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
+                      const std::vector<Word>& start_b, const int* init_f, int n_init_f,
+                      const Goal& goal, const int* goal_pos, int n_goal_pos,
+                      const ActionSet& f_actions, const ActionSet& b_actions,
+                      const Deadline& deadline, int64_t node_limit, Result& out) {
+    if (start_f == start_b) return SOLVED;
+    const int words = words_for(n_fluents);
+    Frontier fwd(n_fluents, f_actions, goal_pos, n_goal_pos);
+    Frontier bwd(n_fluents, b_actions, init_f, n_init_f);
+
+    const double hf0 = fwd.h_of(&start_f[0]);
+    if (hf0 == INF) return UNSOLVABLE;
+    const double hb0 = bwd.h_of(&start_b[0]);
+
+    StateRegistry states(words);
+    states.insert(&start_f[0]);
+    states.insert(&start_b[0]);
+    fwd.track(0);
+    fwd.track(-1);
+    bwd.track(-1);
+    bwd.track(0);
+    fwd.open.push(Entry{hf0, hf0, 0, 0, 0});
+    if (hb0 != INF) bwd.open.push(Entry{hb0, hb0, 0, 0, 1});
+    int64_t recorded = 2;  // states recorded by the forward plus the backward side
+    std::vector<Word> state(words), succ(words);
+    int meet = -1;
+
+    while (!fwd.open.empty() && meet < 0) {
+        if ((out.expanded & CHECK_MASK) == 0 && deadline.passed()) return TIMEOUT;
+        for (int side = 0; side < 2 && meet < 0; ++side) {
+            Frontier& own = side == 0 ? fwd : bwd;
+            const Frontier& other = side == 0 ? bwd : fwd;
+            if (own.open.empty()) continue;
+            const Entry e = own.open.top();
+            own.open.pop();
+            if (e.g != own.g[e.sid]) continue;
+            std::memcpy(&state[0], states[e.sid], words * sizeof(Word));
+            if (side == 0 && goal.holds(&state[0])) {
+                out.plan = unwind(fwd.parent_action, fwd.parent_state, e.sid);
+                out.cost = e.g;
+                return SOLVED;
+            }
+            const double h_here = own.h_of(&state[0]);
+            if (h_here == INF) continue;
+            ++out.expanded;
+            for (int a = 0; a < own.masks.size(); ++a) {
+                if (!own.masks.applicable(a, &state[0])) continue;
+                own.masks.apply(a, &state[0], &succ[0]);
+                const std::pair<int, bool> found = states.insert(&succ[0]);
+                const int nid = found.first;
+                if (found.second) {
+                    fwd.track(-1);
+                    bwd.track(-1);
+                } else if (own.g[nid] >= 0) {
+                    continue;
+                }
+                const int64_t ng = e.g + own.cost[a];
+                own.g[nid] = ng;
+                own.parent_action[nid] = a;
+                own.parent_state[nid] = e.sid;
+                ++recorded;
+                ++out.generated;
+                if (other.g[nid] >= 0) {
+                    meet = nid;
+                    break;
+                }
+                // deferred evaluation: queue under the parent's h
+                own.open.push(Entry{h_here, h_here, ++own.seq, ng, nid});
+            }
+            if (meet < 0 && node_limit != 0 && recorded > node_limit) return MEMOUT;
+        }
+    }
+    if (meet < 0) return UNSOLVABLE;
+    out.cost = fwd.g[meet] + bwd.g[meet];
+    out.plan = unwind(fwd.parent_action, fwd.parent_state, meet);
+    out.plan_b = unwind(bwd.parent_action, bwd.parent_state, meet);
+    return SOLVED;
+}
+
+// Copies a plan into memory the caller frees with release().
+int* hand_over(const std::vector<int>& plan, int64_t* length) {
+    int* copy = static_cast<int*>(std::malloc(sizeof(int) * (plan.size() + 1)));
+    if (copy == NULL) throw std::bad_alloc();
+    if (!plan.empty()) std::memcpy(copy, &plan[0], sizeof(int) * plan.size());
+    *length = int64_t(plan.size());
+    return copy;
+}
+
+void report(const Result& result, int64_t* counts) {
+    counts[0] = result.expanded;
+    counts[1] = result.generated;
+    counts[2] = result.cost;
+}
+
+}  // namespace
+
+extern "C" {
+
+void release(int* plan) { std::free(plan); }
+
+// Single-frontier search: A* (mode 0) with hmax or, for heuristic 0,
+// blind; greedy best-first (mode 1) on hadd. Returns the status; counts
+// receives (expanded, generated, cost) and *plan a plan of *plan_len
+// action indices, to be freed with release(). Running out of memory
+// ends the search with MEMOUT. Action costs must not be negative.
+int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
+           const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
+           const int* fluents, const int64_t* cost, int mode, int heuristic, double time_limit,
+           int64_t node_limit, int64_t* counts, int** plan, int64_t* plan_len) {
+    const Deadline deadline(time_limit);
+    Result result;
+    int status = MEMOUT;
+    *plan = NULL;
+    try {
+        const int words = words_for(n_fluents);
+        const ActionSet actions = {n_actions, start, fluents, cost};
+        const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
+        status = run_search(n_fluents, pack(words, init, n_init), goal, goal_pos, n_goal_pos,
+                            actions, mode, heuristic, deadline, node_limit, result);
+        *plan = hand_over(result.plan, plan_len);
+    } catch (const std::exception&) {  // only allocations throw
+        status = MEMOUT;
+        result.cost = 0;
+        *plan_len = 0;
+    }
+    report(result, counts);
+    return status;
+}
+
+// Two greedy frontiers meeting in the middle: forward from init_f toward
+// the goal, backward from init_b (a complete goal state) over the
+// inverted actions toward init_f. Returns the status; *plan receives the
+// forward half and *plan_b the backward half, which traces init_b toward
+// the meet state in application order. Both are freed with release().
+int search_bidirectional(int n_fluents, const int* init_f, int n_init_f, const int* init_b,
+                         int n_init_b, const int* goal_pos, int n_goal_pos, const int* goal_neg,
+                         int n_goal_neg, int nf_actions, const int* f_start,
+                         const int* f_fluents, const int64_t* f_cost, int nb_actions,
+                         const int* b_start, const int* b_fluents, const int64_t* b_cost,
+                         double time_limit, int64_t node_limit, int64_t* counts, int** plan,
+                         int64_t* plan_len, int** plan_b, int64_t* plan_b_len) {
+    const Deadline deadline(time_limit);
+    Result result;
+    int status = MEMOUT;
+    *plan = *plan_b = NULL;
+    try {
+        const int words = words_for(n_fluents);
+        const ActionSet f_actions = {nf_actions, f_start, f_fluents, f_cost};
+        const ActionSet b_actions = {nb_actions, b_start, b_fluents, b_cost};
+        const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
+        status = run_bidirectional(n_fluents, pack(words, init_f, n_init_f),
+                                   pack(words, init_b, n_init_b), init_f, n_init_f, goal,
+                                   goal_pos, n_goal_pos, f_actions, b_actions, deadline,
+                                   node_limit, result);
+        *plan = hand_over(result.plan, plan_len);
+        *plan_b = hand_over(result.plan_b, plan_b_len);
+    } catch (const std::exception&) {  // only allocations throw
+        status = MEMOUT;
+        result.cost = 0;
+        release(*plan);
+        *plan = NULL;
+        *plan_len = *plan_b_len = 0;
+    }
+    report(result, counts);
+    return status;
+}
+
+}  // extern "C"

@@ -12,8 +12,8 @@ state and one from a complete goal state over inverted actions,
 alternating expansions and stopping at the first state generated by both
 sides.
 
-The compiled backend mirrors this module; both expose the same functions
-with the same result conventions.
+The compiled backend (``_kernel``) mirrors this module; both expose the
+same functions with the same result conventions.
 """
 
 from __future__ import annotations
@@ -221,17 +221,16 @@ def search_bidirectional(
     b_costs,
     time_limit=300.0,
     node_limit=2_000_000,
-    eager=False,
 ):
     """Two deferred greedy frontiers meeting in the middle.
 
     The backward frontier starts from ``init_b`` (a complete state
     satisfying the goal) and runs over the inverted action set; its hadd
-    target is the forward initial state. With ``eager`` each successor
-    is evaluated at generation instead of inheriting the parent's h.
-    Returns (status, forward_action_indices, backward_action_indices,
-    cost, expanded, generated) where the backward indices trace init_b
-    toward the meet state in application order.
+    target is the forward initial state. Successors are queued under
+    their parent's h. Returns (status, forward_action_indices,
+    backward_action_indices, cost, expanded, generated) where the
+    backward indices trace init_b toward the meet state in application
+    order.
     """
     deadline = time.monotonic() + time_limit if time_limit else None
 
@@ -322,18 +321,12 @@ def search_bidirectional(
                 if succ in g_other:
                     result = finish(succ)
                     return (*result, expanded, generated)
-                if eager:
-                    h_push = h_of(succ)
-                    if h_push == _INF:
-                        continue
-                else:
-                    h_push = h_here
                 if is_fwd:
                     seq_f += 1
-                    heappush(heap, (h_push, seq_f, ng, succ))
+                    heappush(heap, (h_here, seq_f, ng, succ))
                 else:
                     seq_b += 1
-                    heappush(heap, (h_push, seq_b, ng, succ))
+                    heappush(heap, (h_here, seq_b, ng, succ))
             if node_limit and len(g_f) + len(g_b) > node_limit:
                 return (MEMOUT, [], [], 0, expanded, generated)
     return (UNSOLVABLE, [], [], 0, expanded, generated)

@@ -1,29 +1,39 @@
 from __future__ import annotations
 
-import importlib.machinery
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
-from pathlib import Path
+import sysconfig
 
 import pytest
 
-import prodplan.planner
-
-PACKAGE_DIR = Path(prodplan.planner.__file__).parent
-HAS_INSTALLED_EXTENSION = any(
-    (PACKAGE_DIR / f"_speedups{suffix}").exists()
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES
+HAS_COMPILER = (
+    shutil.which(shlex.split(sysconfig.get_config_var("CXX") or "c++")[0]) is not None
 )
 
 
-@pytest.mark.skipif(
-    HAS_INSTALLED_EXTENSION,
-    reason="an extension built next to the package loads without the cache",
-)
+def _backend(env) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import prodplan.planner as p; print(p.backend_name())"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def _files(directory):
+    return sorted(p for p in directory.rglob("*") if p.is_file())
+
+
 @pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
 def test_loader_falls_back_to_pure(tmp_path, child_pythonpath, broken):
-    env = {k: v for k, v in os.environ.items() if k != "PRODPLAN_PURE"}
+    env = dict(os.environ)
     cache = tmp_path / "cache"
     if broken == "no-compiler":
         empty_bin = tmp_path / "bin"
@@ -33,15 +43,24 @@ def test_loader_falls_back_to_pure(tmp_path, child_pythonpath, broken):
         cache.write_text("a file where the cache directory should be")
     env["XDG_CACHE_HOME"] = str(cache)
 
-    proc = subprocess.run(
-        [sys.executable, "-c", "import prodplan.planner as p; print(p.backend_name())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "pure"
+    assert _backend(env) == "pure"
     if cache.is_dir():
-        # a failed build leaves no partial module behind
-        assert [p for p in cache.rglob("*") if p.is_file()] == []
+        # a failed build leaves no partial library behind
+        assert _files(cache) == []
+
+
+@pytest.mark.skipif(not HAS_COMPILER, reason="needs the interpreter's C++ compiler")
+def test_loader_builds_once_then_loads_from_cache(tmp_path, child_pythonpath):
+    cache = tmp_path / "cache"
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    assert _backend(env) == "compiled"
+    built = _files(cache)
+    assert len(built) == 1
+    assert re.fullmatch(r"_kernel-[0-9a-f]{16}\.so", built[0].name)
+
+    # with no compiler on PATH the cached library still loads
+    empty_bin = tmp_path / "bin"
+    empty_bin.mkdir()
+    env["PATH"] = str(empty_bin)
+    assert _backend(env) == "compiled"
+    assert _files(cache) == built

@@ -14,6 +14,7 @@ from prodplan.errors import (
 )
 from prodplan.model_io import (
     GoalSpec,
+    generate_drill_goal,
     generate_permutation_goals,
     generate_reverse_goal,
     generate_ring_layout,
@@ -38,10 +39,10 @@ def _demo_tasks():
     ]
 
 
-def _ring_task(size, goal_fn=generate_reverse_goal, reverse=False):
-    model = generate_ring_layout(size, 0.65)
+def _ring_task(size, reverse=False, drilling=False):
+    model = generate_ring_layout(size, 0.65, with_robot_and_boards=drilling)
     domain, report = derive_domain(model)
-    goal = goal_fn(model)
+    goal = generate_drill_goal(model) if drilling else generate_reverse_goal(model)
     task = ground(domain, derive_problem(model, goal, report))
     if not reverse:
         return task
@@ -62,13 +63,18 @@ def test_optimal_matches_oracle_on_all_demo_goals(backend, heuristic):
         assert result.backend == backend
 
 
+def _outcome(result):
+    return result.status, result.cost, result.plan, result.expanded, result.generated
+
+
 def test_backends_return_identical_plans():
-    for goal_id, task in _demo_tasks():
-        results = [
-            solve(task, mode="optimal", heuristic="hmax", backend=b) for b in BACKENDS
-        ]
-        plans = {r.plan for r in results}
-        assert len(plans) == 1, goal_id
+    cases = _demo_tasks() + [("drilling ring 7", _ring_task(7, drilling=True))]
+    for goal_id, task in cases:
+        outcomes = {
+            _outcome(solve(task, mode="optimal", heuristic="hmax", backend=b))
+            for b in BACKENDS
+        }
+        assert len(outcomes) == 1, goal_id
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -143,6 +149,21 @@ def test_statically_false_goal_short_circuits(backend):
     result = solve(task, backend=backend)
     assert result.status == "unsolvable"
     assert result.expanded == 0
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="needs the compiled backend")
+def test_compiled_backend_rejects_negative_costs():
+    domain = parse_domain(
+        "(define (domain m) (:requirements :action-costs) (:types T)"
+        " (:predicates (Up ?x - T)) (:functions (total-cost))"
+        " (:action Raise :parameters (?x - T)"
+        "   :effect (and (Up ?x) (increase (total-cost) -5))))"
+    )
+    problem = parse_problem(
+        "(define (problem p) (:domain m) (:objects a - T) (:init) (:goal (Up a)))"
+    )
+    with pytest.raises(ValueError):
+        solve(ground(domain, problem), backend="compiled")
 
 
 def test_solve_rejects_unknown_modes(demo_task):
@@ -220,17 +241,27 @@ def test_bidirectional_matches_forward_greedy_validity_on_ring(backend):
 
 
 def test_bidirectional_backends_agree_on_ring():
+    for size in (9, 11):
+        task, reverse = _ring_task(size, reverse=True)
+        outcomes = {
+            _outcome(solve_bidirectional(task, reverse, backend=b)) for b in BACKENDS
+        }
+        assert len(outcomes) == 1, size
+        status, cost, plan, _, _ = outcomes.pop()
+        assert status == "solved", size
+        assert validate_plan(task, plan) == cost, size
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bidirectional_status_timeout_and_memout(backend):
     task, reverse = _ring_task(9, reverse=True)
-    outcomes = {
-        (r.status, r.cost, r.plan)
-        for r in (
-            solve_bidirectional(task, reverse, backend=b) for b in BACKENDS
-        )
-    }
-    assert len(outcomes) == 1
-    status, cost, plan = outcomes.pop()
-    assert status == "solved"
-    assert validate_plan(task, plan) == cost
+    timed_out = solve_bidirectional(task, reverse, time_limit=1e-6, backend=backend)
+    assert timed_out.status == "timeout"
+    assert timed_out.plan is None
+    # the two start states already fill a cap of 2
+    capped = solve_bidirectional(task, reverse, node_limit=2, backend=backend)
+    assert capped.status == "memout"
+    assert capped.plan is None
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
