@@ -159,12 +159,13 @@ def _solve_one(domain, problem, args, workdir: Path, reverse_problem=None):
 
 
 def _report_line(goal_id: str, result) -> str:
+    counts = f"expanded={result.expanded} generated={result.generated}"
     if result.solved:
         return (
             f"{goal_id}: solved cost={result.cost} steps={len(result.plan.steps)} "
-            f"wall={result.wall_time_ms:.0f}ms expanded={result.expanded}"
+            f"wall={result.wall_time_ms:.0f}ms {counts}"
         )
-    return f"{goal_id}: {result.status} wall={result.wall_time_ms:.0f}ms"
+    return f"{goal_id}: {result.status} wall={result.wall_time_ms:.0f}ms {counts}"
 
 
 # ---------------------------------------------------------------------------

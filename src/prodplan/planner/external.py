@@ -8,11 +8,15 @@ working directory, e.g.:
 
 A produced plan file counts as solved; exit code 0 or 12 without one
 counts as unsolvable (12 is a common "proved unsolvable" convention);
-anything else raises SolverLaunchFailure.
+anything else raises SolverLaunchFailure. Search counts are read from
+``expanded=N`` and ``generated=N`` on the solver's standard output, as
+``prodplan.cli solve`` prints them; a solver that prints neither (Fast
+Downward, for one) reports 0.
 """
 
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 import time
@@ -23,6 +27,12 @@ from ..pddl import parse_plan
 from .search import SearchResult
 
 UNSOLVABLE_EXIT_CODES = (0, 12)
+
+
+def _count(name: str, stdout: str) -> int:
+    """Last ``name=N`` on the solver's stdout, or 0 when there is none."""
+    found = re.findall(rf"\b{name}=(\d+)", stdout)
+    return int(found[-1]) if found else 0
 
 
 def solve_external(
@@ -64,6 +74,8 @@ def solve_external(
         wall = (time.monotonic() - started) * 1000.0
         return SearchResult("timeout", None, None, 0, 0, wall, "external")
     wall = (time.monotonic() - started) * 1000.0
+    expanded = _count("expanded", proc.stdout)
+    generated = _count("generated", proc.stdout)
 
     if plan_path.exists():
         text = plan_path.read_text(encoding="utf-8")
@@ -71,9 +83,13 @@ def solve_external(
             plan = parse_plan(text)
         except Exception as exc:
             raise PlanParseError(f"solver wrote an unreadable plan: {exc}") from exc
-        return SearchResult("solved", plan, plan.cost, 0, 0, wall, "external")
+        return SearchResult(
+            "solved", plan, plan.cost, expanded, generated, wall, "external"
+        )
     if proc.returncode in UNSOLVABLE_EXIT_CODES:
-        return SearchResult("unsolvable", None, None, 0, 0, wall, "external")
+        return SearchResult(
+            "unsolvable", None, None, expanded, generated, wall, "external"
+        )
     tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
     raise SolverLaunchFailure(
         f"solver exited with {proc.returncode} and no plan: " + " | ".join(tail)

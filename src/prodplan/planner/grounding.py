@@ -6,7 +6,25 @@ evaluated against the init state while grounding and disappear from the
 task. An ``exists`` precondition is reduced by that filtering; when
 several candidates with fluent residues remain, the action is expanded
 into one variant per candidate. ``forall``/``when`` effect conditions
-must become fully static after filtering.
+must be fully static.
+
+Each action schema is compiled once per ``ground`` call: its condition
+and effect trees are flattened, every atom is checked against the
+declared predicates, variables and objects, and static literals are
+split from fluent ones. Parameters are then bound as an index join over
+the true static facts (``EquipmentClassed ?S EC_Shuttle``,
+``PositioningUnitConnection ?FROM ?TO``): each parameter in turn takes
+only the values that every positive static atom mentioning it allows,
+given the parameters bound before it, filtered by its type; a parameter
+that no such atom mentions runs over its whole typed domain. ``exists``
+and ``forall`` variables are bound the same way through the static atoms
+of their bodies and ``when`` conditions. Negative static literals and
+static ``forall`` preconditions are checked on each complete binding.
+
+Values are tried in the order of their type's domain, so the surviving
+bindings come out in the order of the full product of the parameter
+domains, and the task (fluent order, action order, costs) is the one
+that enumerating and filtering that product would give.
 """
 
 from __future__ import annotations
@@ -77,6 +95,141 @@ def _flatten(node: Expr | None) -> list[Expr]:
     return [node]
 
 
+_NOTHING: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class _Literal:
+    """A checked atom of a compiled schema. A binding is a list indexed by
+    slot: one slot per variable and one per constant the schema names."""
+
+    pred: str
+    slots: tuple[int, ...]
+
+    def fact(self, vals: list) -> tuple[str, ...]:
+        return (self.pred, *[vals[s] for s in self.slots])
+
+    def fluent(self, vals: list) -> str:
+        return " ".join([self.pred, *[vals[s] for s in self.slots]])
+
+
+class _Slots:
+    """Slot numbering of one schema; ``template`` holds the constants."""
+
+    def __init__(self):
+        self.template: list[str | None] = []
+        self._constants: dict[str, int] = {}
+
+    def variable(self) -> int:
+        self.template.append(None)
+        return len(self.template) - 1
+
+    def constant(self, name: str) -> int:
+        if name not in self._constants:
+            self._constants[name] = len(self.template)
+            self.template.append(name)
+        return self._constants[name]
+
+
+class _Join:
+    """Bindings of ``variables`` (slot, typed domain) under which every atom
+    of ``atoms`` is a true static fact.
+
+    Variable i takes the values allowed by each atom that mentions it,
+    looked up by the atom's other arguments, except those of variables
+    bound after i; values outside its domain are dropped, and a variable
+    no atom mentions runs over its whole domain. Values are tried in
+    domain order, so bindings come out in ``itertools.product`` order.
+    Each variable's values are computed once per distinct lookup key.
+    Atoms without any of the variables are checked before binding.
+    """
+
+    def __init__(self, grounder: "_Grounder", variables, atoms: list[_Literal]):
+        own = [slot for slot, _ in variables]
+        self.static_true = grounder.static_true
+        self.checks = [a for a in atoms if not set(own) & set(a.slots)]
+        self.levels = []
+        for depth, (slot, domain) in enumerate(variables):
+            unbound = set(own[depth:])
+            probes = []
+            for atom in atoms:
+                if slot not in atom.slots:
+                    continue
+                value_at = tuple(i for i, s in enumerate(atom.slots) if s == slot)
+                key_at = tuple(i for i, s in enumerate(atom.slots) if s not in unbound)
+                probes.append(
+                    (
+                        grounder.index(atom.pred, key_at, value_at),
+                        tuple(atom.slots[i] for i in key_at),
+                    )
+                )
+            position = {obj: i for i, obj in enumerate(domain)}
+            deps = tuple(sorted({s for _, key in probes for s in key}))
+            self.levels.append((slot, domain, position, probes, deps, {}))
+
+    def bindings(self, vals: list):
+        """Fill the variables' slots of ``vals`` in place; yield per binding."""
+        if all(a.fact(vals) in self.static_true for a in self.checks):
+            yield from self._bind(0, vals)
+
+    def _bind(self, depth: int, vals: list):
+        if depth == len(self.levels):
+            yield
+            return
+        slot, values, position, probes, deps, memo = self.levels[depth]
+        if probes:
+            memo_key = tuple([vals[s] for s in deps])
+            values = memo.get(memo_key)
+            if values is None:
+                allowed = sorted(
+                    (
+                        index.get(tuple([vals[s] for s in key]), _NOTHING)
+                        for index, key in probes
+                    ),
+                    key=len,
+                )
+                values = memo[memo_key] = sorted(
+                    (
+                        v
+                        for v in allowed[0]
+                        if v in position and all(v in other for other in allowed[1:])
+                    ),
+                    key=position.__getitem__,
+                )
+        for value in values:
+            vals[slot] = value
+            yield from self._bind(depth + 1, vals)
+
+
+@dataclass
+class _Exists:
+    join: _Join
+    unless: list[_Literal]  # static atoms that must be false
+    pos: list[_Literal]
+    neg: list[_Literal]
+
+
+@dataclass
+class _Condition:
+    join: _Join  # binds the parameters through the positive static atoms
+    unless: list[_Literal]  # static atoms that must be false
+    foralls: list[tuple[_Join, list[_Literal], list[_Literal]]]
+    exists: list[_Exists]
+    pos: list[_Literal]
+    neg: list[_Literal]
+
+
+@dataclass
+class _EffectPart:
+    """Literals added and deleted for each binding of ``join`` (the
+    ``forall`` variables, if any, through the static ``when`` condition)."""
+
+    join: _Join
+    unless: list[_Literal]
+    add: list[_Literal]
+    delete: list[_Literal]
+
+
 class _Grounder:
     def __init__(self, domain: PddlDomain, problem: PddlProblem):
         if problem.domain_name.lower() != domain.name.lower():
@@ -108,6 +261,7 @@ class _Grounder:
 
         self.arity = {p.name.lower(): len(p.parameters) for p in domain.predicates}
         self._type_cache: dict[str, list[str]] = {}
+        self._indexes: dict[tuple, dict[tuple[str, ...], set[str]]] = {}
 
         effect_preds: set[str] = set()
         for action in domain.actions:
@@ -115,7 +269,7 @@ class _Grounder:
                 effect_preds.add(atom.predicate.lower())
         self.static_preds = set(self.arity) - effect_preds
 
-        self.static_true: set[str] = set()
+        self.static_true: set[tuple[str, ...]] = set()
         self.fluent_init: list[str] = []
         for item in problem.init:
             if isinstance(item, NumericInit):
@@ -124,11 +278,14 @@ class _Grounder:
                         f"init value {item.value} for ({item.function}); only 0 is supported"
                     )
                 continue
-            ground = self._ground_atom(item, {})
-            if item.predicate.lower() in self.static_preds:
-                self.static_true.add(ground)
-            elif ground not in self.fluent_init:
-                self.fluent_init.append(ground)
+            slots = _Slots()
+            literal = self._literal(item, {}, slots)
+            if literal.pred in self.static_preds:
+                self.static_true.add(literal.fact(slots.template))
+            else:
+                ground = literal.fluent(slots.template)
+                if ground not in self.fluent_init:
+                    self.fluent_init.append(ground)
 
     # -- small helpers ------------------------------------------------------
 
@@ -170,7 +327,32 @@ class _Grounder:
         self._type_cache[wanted] = out
         return out
 
-    def _ground_atom(self, atom: Atom, sub: dict[str, str]) -> str:
+    def index(self, pred: str, key_at: tuple[int, ...], value_at: tuple[int, ...]):
+        """Static facts of ``pred`` as {arguments at key_at: values}; a fact
+        counts only if its arguments at all of ``value_at`` are equal."""
+        key = (pred, key_at, value_at)
+        index = self._indexes.get(key)
+        if index is None:
+            index = {}
+            for fact in self.static_true:
+                if fact[0] != pred:
+                    continue
+                args = fact[1:]
+                value = args[value_at[0]]
+                if all(args[i] == value for i in value_at[1:]):
+                    index.setdefault(tuple(args[i] for i in key_at), set()).add(value)
+            self._indexes[key] = index
+        return index
+
+    def _holds(self, literals: list[_Literal], vals: list) -> bool:
+        return all(lit.fact(vals) in self.static_true for lit in literals)
+
+    def _any_holds(self, literals: list[_Literal], vals: list) -> bool:
+        return any(lit.fact(vals) in self.static_true for lit in literals)
+
+    # -- compiling schemas --------------------------------------------------
+
+    def _literal(self, atom: Atom, scope: dict[str, int], slots: _Slots) -> _Literal:
         pred = atom.predicate.lower()
         if pred not in self.arity:
             raise GroundingError(f"unknown predicate {atom.predicate!r}")
@@ -179,213 +361,203 @@ class _Grounder:
                 f"predicate {atom.predicate!r} takes {self.arity[pred]} arguments, "
                 f"got {len(atom.args)}"
             )
-        parts = [pred]
+        out = []
         for arg in atom.args:
             name = arg.lower()
             if name.startswith("?"):
-                if name not in sub:
+                if name not in scope:
                     raise UnboundVariable(f"variable {arg!r} is unbound")
-                name = sub[name]
+                out.append(scope[name])
             elif name not in self.objects:
                 raise GroundingError(f"unknown object {arg!r}")
-            parts.append(name)
-        return " ".join(parts)
+            else:
+                out.append(slots.constant(name))
+        return _Literal(pred, tuple(out))
 
-    def _is_static(self, atom: Atom) -> bool:
-        return atom.predicate.lower() in self.static_preds
+    def _split(self, items: list[Expr], scope, slots, message: str):
+        """A conjunction of literals as four lists: static positive, static
+        negative, fluent positive and fluent negative."""
+        static_pos, static_neg, fluent_pos, fluent_neg = split = ([], [], [], [])
+        for item in items:
+            positive = isinstance(item, Atom)
+            negative = isinstance(item, Not) and isinstance(item.item, Atom)
+            if not positive and not negative:
+                raise UnsupportedFeature(message)
+            literal = self._literal(item if positive else item.item, scope, slots)
+            if literal.pred in self.static_preds:
+                (static_pos if positive else static_neg).append(literal)
+            else:
+                (fluent_pos if positive else fluent_neg).append(literal)
+        return split
 
-    # -- preconditions ------------------------------------------------------
+    def _quantify(self, variables, scope, slots):
+        """Give each quantified variable a slot; returns (scope, [(slot, domain)])."""
+        inner = dict(scope)
+        bound = []
+        for var in variables:
+            domain = self._objects_of(var.type)
+            slot = slots.variable()
+            inner[var.name.lower()] = slot
+            bound.append((slot, domain))
+        return inner, bound
 
-    def _eval_condition(self, node: Expr | None, sub: dict[str, str]):
-        """Returns (satisfiable, pos, neg, variant_groups) or None when the
-        condition is statically false under ``sub``."""
-        pos: set[str] = set()
-        neg: set[str] = set()
-        groups: list[list[tuple[frozenset, frozenset]]] = []
+    def _compile_condition(self, node: Expr | None, params, scope, slots) -> _Condition:
+        literals: list[Expr] = []
+        foralls = []
+        exists = []
         for item in _flatten(node):
             if isinstance(item, Atom):
-                ground = self._ground_atom(item, sub)
-                if self._is_static(item):
-                    if ground not in self.static_true:
-                        return None
-                else:
-                    pos.add(ground)
+                literals.append(item)
             elif isinstance(item, Not):
                 if not isinstance(item.item, Atom):
                     raise UnsupportedFeature("only literals can be negated in conditions")
-                ground = self._ground_atom(item.item, sub)
-                if self._is_static(item.item):
-                    if ground in self.static_true:
-                        return None
-                else:
-                    neg.add(ground)
+                literals.append(item)
             elif isinstance(item, Exists):
-                group = self._eval_exists(item, sub)
-                if group is None:
-                    return None
-                if group:  # empty group means satisfied for free
-                    groups.append(group)
+                inner, variables = self._quantify(item.variables, scope, slots)
+                atoms, unless, pos, neg = self._split(
+                    _flatten(item.condition),
+                    inner,
+                    slots,
+                    "'exists' bodies may only contain a conjunction of literals",
+                )
+                exists.append(_Exists(_Join(self, variables, atoms), unless, pos, neg))
             elif isinstance(item, Forall):
-                if not self._eval_static_forall(item, sub):
-                    return None
+                inner, variables = self._quantify(item.variables, scope, slots)
+                message = "'forall' preconditions must be static conjunctions"
+                pos, neg, fluent_pos, fluent_neg = self._split(
+                    _flatten(item.body), inner, slots, message
+                )
+                if fluent_pos or fluent_neg:
+                    raise UnsupportedFeature(message)
+                foralls.append((_Join(self, variables, []), pos, neg))
             else:
                 raise UnsupportedFeature(
                     f"{type(item).__name__} is not supported in conditions"
                 )
-        return pos, neg, groups
+        atoms, unless, pos, neg = self._split(literals, scope, slots, "")
+        return _Condition(_Join(self, params, atoms), unless, foralls, exists, pos, neg)
 
-    def _eval_exists(self, node: Exists, sub: dict[str, str]):
-        """None: statically false. []: satisfied. Else: one (pos, neg)
-        residue per surviving candidate binding."""
-        names = [v.name.lower() for v in node.variables]
-        domains = [self._objects_of(v.type) for v in node.variables]
-        residues: list[tuple[frozenset, frozenset]] = []
-        for combo in itertools.product(*domains):
-            inner = dict(sub)
-            inner.update(zip(names, combo))
-            cpos: set[str] = set()
-            cneg: set[str] = set()
-            alive = True
-            for item in _flatten(node.condition):
-                if isinstance(item, Atom):
-                    ground = self._ground_atom(item, inner)
-                    if self._is_static(item):
-                        if ground not in self.static_true:
-                            alive = False
-                            break
-                    else:
-                        cpos.add(ground)
-                elif isinstance(item, Not) and isinstance(item.item, Atom):
-                    ground = self._ground_atom(item.item, inner)
-                    if self._is_static(item.item):
-                        if ground in self.static_true:
-                            alive = False
-                            break
-                    else:
-                        cneg.add(ground)
-                else:
-                    raise UnsupportedFeature(
-                        "'exists' bodies may only contain a conjunction of literals"
-                    )
-            if not alive:
-                continue
-            if not cpos and not cneg:
-                return []
-            residues.append((frozenset(cpos), frozenset(cneg)))
-        if not residues:
-            return None
-        return residues
+    def _effect_part(self, variables, condition, effect, scope, slots) -> _EffectPart:
+        atoms, unless, fluent_pos, fluent_neg = self._split(
+            condition, scope, slots, "'when' conditions must be conjunctions of literals"
+        )
+        if fluent_pos or fluent_neg:
+            raise UnsupportedFeature("'when' conditions must be static after grounding")
+        # effect predicates are never static
+        _, _, add, delete = self._split(
+            effect, scope, slots, "conditional effects must be literal lists"
+        )
+        return _EffectPart(_Join(self, variables, atoms), unless, add, delete)
 
-    def _eval_static_forall(self, node: Forall, sub: dict[str, str]) -> bool:
-        names = [v.name.lower() for v in node.variables]
-        domains = [self._objects_of(v.type) for v in node.variables]
-        for combo in itertools.product(*domains):
-            inner = dict(sub)
-            inner.update(zip(names, combo))
-            for item in _flatten(node.body):
-                if isinstance(item, Atom) and self._is_static(item):
-                    if self._ground_atom(item, inner) not in self.static_true:
-                        return False
-                elif (
-                    isinstance(item, Not)
-                    and isinstance(item.item, Atom)
-                    and self._is_static(item.item)
-                ):
-                    if self._ground_atom(item.item, inner) in self.static_true:
-                        return False
-                else:
-                    raise UnsupportedFeature(
-                        "'forall' preconditions must be static conjunctions"
-                    )
-        return True
-
-    # -- effects ------------------------------------------------------------
-
-    def _literals(self, node: Expr, sub: dict[str, str], add: set, delete: set):
-        for item in _flatten(node):
-            if isinstance(item, Atom):
-                add.add(self._ground_atom(item, sub))
-            elif isinstance(item, Not) and isinstance(item.item, Atom):
-                delete.add(self._ground_atom(item.item, sub))
-            else:
-                raise UnsupportedFeature("conditional effects must be literal lists")
-
-    def _when_condition_holds(self, cond: Expr, sub: dict[str, str]) -> bool | None:
-        """True/False when fully static; None marks a fluent residue."""
-        for item in _flatten(cond):
-            if isinstance(item, Atom):
-                if not self._is_static(item):
-                    return None
-                if self._ground_atom(item, sub) not in self.static_true:
-                    return False
-            elif isinstance(item, Not) and isinstance(item.item, Atom):
-                if not self._is_static(item.item):
-                    return None
-                if self._ground_atom(item.item, sub) in self.static_true:
-                    return False
-            else:
-                raise UnsupportedFeature(
-                    "'when' conditions must be conjunctions of literals"
-                )
-        return True
-
-    def _eval_effect(self, node: Expr | None, sub: dict[str, str]):
-        add: set[str] = set()
-        delete: set[str] = set()
+    def _compile_effect(self, node: Expr | None, scope, slots):
+        plain: list[Expr] = []
+        parts: list[_EffectPart] = []
         cost = 0
         for item in _flatten(node):
             if isinstance(item, (Atom, Not)):
-                self._literals(item, sub, add, delete)
+                plain.append(item)
             elif isinstance(item, Increase):
                 if item.function.lower() != "total-cost":
                     raise UnsupportedFeature(
                         f"only (total-cost) can be increased, not ({item.function})"
                     )
+                if item.amount < 0:
+                    raise UnsupportedFeature(
+                        f"(increase (total-cost) {item.amount}): "
+                        "costs must not be negative"
+                    )
                 cost += item.amount
             elif isinstance(item, When):
-                holds = self._when_condition_holds(item.condition, sub)
-                if holds is None:
-                    raise UnsupportedFeature(
-                        "'when' conditions must be static after grounding"
+                parts.append(
+                    self._effect_part(
+                        [], _flatten(item.condition), _flatten(item.effect), scope, slots
                     )
-                if holds:
-                    self._literals(item.effect, sub, add, delete)
+                )
             elif isinstance(item, Forall):
-                names = [v.name.lower() for v in item.variables]
-                domains = [self._objects_of(v.type) for v in item.variables]
-                for combo in itertools.product(*domains):
-                    inner = dict(sub)
-                    inner.update(zip(names, combo))
-                    for part in _flatten(item.body):
-                        if isinstance(part, When):
-                            holds = self._when_condition_holds(part.condition, inner)
-                            if holds is None:
-                                raise UnsupportedFeature(
-                                    "'when' conditions must be static after grounding"
-                                )
-                            if holds:
-                                self._literals(part.effect, inner, add, delete)
-                        else:
-                            self._literals(part, inner, add, delete)
+                inner, variables = self._quantify(item.variables, scope, slots)
+                for part in _flatten(item.body):
+                    if isinstance(part, When):
+                        condition, effect = _flatten(part.condition), _flatten(part.effect)
+                    else:
+                        condition, effect = [], [part]
+                    parts.append(self._effect_part(variables, condition, effect, inner, slots))
             else:
                 raise UnsupportedFeature(
                     f"{type(item).__name__} is not supported in effects"
                 )
+        parts.append(self._effect_part([], [], plain, scope, slots))
+        return parts, cost
+
+    # -- evaluating a binding -------------------------------------------------
+
+    def _eval_condition(self, cond: _Condition, vals: list):
+        """Returns (pos, neg, variant_groups) for a binding of cond.join, or
+        None when the condition is statically false under it."""
+        if self._any_holds(cond.unless, vals):
+            return None
+        for join, pos, neg in cond.foralls:
+            for _ in join.bindings(vals):
+                if not self._holds(pos, vals) or self._any_holds(neg, vals):
+                    return None
+        groups: list[list[tuple[frozenset, frozenset]]] = []
+        for exists in cond.exists:
+            group = self._eval_exists(exists, vals)
+            if group is None:
+                return None
+            if group:  # empty group means satisfied for free
+                groups.append(group)
+        return (
+            {lit.fluent(vals) for lit in cond.pos},
+            {lit.fluent(vals) for lit in cond.neg},
+            groups,
+        )
+
+    def _eval_exists(self, exists: _Exists, vals: list):
+        """None: statically false. []: satisfied. Else: one (pos, neg)
+        residue per surviving candidate binding."""
+        residues: list[tuple[frozenset, frozenset]] = []
+        for _ in exists.join.bindings(vals):
+            if self._any_holds(exists.unless, vals):
+                continue
+            cpos = frozenset(lit.fluent(vals) for lit in exists.pos)
+            cneg = frozenset(lit.fluent(vals) for lit in exists.neg)
+            if not cpos and not cneg:
+                return []
+            residues.append((cpos, cneg))
+        return residues or None
+
+    def _eval_effect(self, parts: list[_EffectPart], vals: list):
+        add: set[str] = set()
+        delete: set[str] = set()
+        for part in parts:
+            for _ in part.join.bindings(vals):
+                if self._any_holds(part.unless, vals):
+                    continue
+                add.update(lit.fluent(vals) for lit in part.add)
+                delete.update(lit.fluent(vals) for lit in part.delete)
         delete -= add  # add wins when both fire
-        return add, delete, cost
+        return add, delete
 
     # -- assembly -----------------------------------------------------------
 
     def _ground_action(self, action: PddlAction):
-        names = [p.name.lower() for p in action.parameters]
-        domains = [self._objects_of(p.type) for p in action.parameters]
-        for combo in itertools.product(*domains):
-            sub = dict(zip(names, combo))
-            evaluated = self._eval_condition(action.precondition, sub)
+        slots = _Slots()
+        scope: dict[str, int] = {}
+        params = []
+        for p in action.parameters:
+            params.append((slots.variable(), self._objects_of(p.type)))
+            scope[p.name.lower()] = params[-1][0]
+        cond = self._compile_condition(action.precondition, params, scope, slots)
+        effect, cost = self._compile_effect(action.effect, scope, slots)
+        name = action.name.lower()
+        vals = list(slots.template)
+        for _ in cond.join.bindings(vals):
+            combo = tuple(vals[slot] for slot, _ in params)
+            evaluated = self._eval_condition(cond, vals)
             if evaluated is None:
                 continue
             pos, neg, groups = evaluated
-            add, delete, cost = self._eval_effect(action.effect, sub)
+            add, delete = self._eval_effect(effect, vals)
             for extras in itertools.product(*groups):
                 vpos = set(pos)
                 vneg = set(neg)
@@ -394,7 +566,16 @@ class _Grounder:
                     vneg |= eneg
                 if vpos & vneg:
                     continue
-                yield (action.name.lower(), combo, vpos, vneg, add, delete, cost)
+                yield (name, combo, vpos, vneg, add, delete, cost)
+
+    def _ground_goal(self):
+        slots = _Slots()
+        cond = self._compile_condition(self.problem.goal, [], {}, slots)
+        vals = list(slots.template)
+        # no variables to bind: one binding if the static atoms hold, else none
+        for _ in cond.join.bindings(vals):
+            return self._eval_condition(cond, vals)
+        return None
 
     def build(self) -> GroundTask:
         raw = []
@@ -407,7 +588,7 @@ class _Grounder:
                 seen.add(key)
                 raw.append(entry)
 
-        goal = self._eval_condition(self.problem.goal, {})
+        goal = self._ground_goal()
         goal_false = goal is None
         goal_pos: set[str] = set()
         goal_neg: set[str] = set()

@@ -176,3 +176,30 @@ def test_self_hosting_through_cli(
     )
     assert result.status == "solved"
     assert validate_plan(demo_task, result.plan) == 50
+    # the child's search counts come back through its report line
+    assert result.expanded > 0
+    assert result.generated >= result.expanded
+
+
+def test_search_counts_read_from_solver_stdout(tmp_path, demo_texts):
+    domain_text, problem_text = demo_texts
+    plan = "(MoveShuttle E_Shuttle-01 E_PositioningUnit-03 E_PositioningUnit-05)"
+    counted = _script(
+        tmp_path,
+        "counted.sh",
+        f'echo "p: solved cost=10 expanded=7 generated=12"\necho "{plan}" > "$3"\n',
+    )
+    silent = _script(tmp_path, "silent.sh", f'echo "{plan}" > "$3"\n')
+    results = [
+        solve_external(
+            domain_text,
+            problem_text,
+            f"{script} {{domain}} {{problem}} {{plan}}",
+            tmp_path / script.stem,
+        )
+        for script in (counted, silent)
+    ]
+    assert [(r.status, r.expanded, r.generated) for r in results] == [
+        ("solved", 7, 12),
+        ("solved", 0, 0),
+    ]

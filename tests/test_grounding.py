@@ -255,3 +255,41 @@ def test_unreachable_precondition_prunes_action():
     task = ground(domain, problem)
     # Down is affected by nothing and never true: Flip cannot fire
     assert [a.name for a in task.actions] == ["rise"]
+
+
+def test_negative_action_cost_rejected():
+    domain = parse_domain(
+        "(define (domain m) (:requirements :action-costs) (:types T)"
+        " (:predicates (Up ?x - T)) (:functions (total-cost))"
+        " (:action Raise :parameters (?x - T)"
+        "   :effect (and (Up ?x) (increase (total-cost) -5))))"
+    )
+    problem = parse_problem(
+        "(define (problem p) (:domain m) (:objects a - T) (:init) (:goal (Up a)))"
+    )
+    with pytest.raises(UnsupportedFeature):
+        ground(domain, problem)
+
+
+@pytest.mark.parametrize(
+    "bad_atom",
+    ["(Wat ?x)", "(Up ?x ?x)", "(Up ?nowhere)", "(Up zz)"],
+    ids=["unknown-predicate", "arity", "unbound", "unknown-constant"],
+)
+@pytest.mark.parametrize("dead", ["static-filter", "no-objects"])
+def test_schema_errors_raised_without_surviving_bindings(bad_atom, dead):
+    # Lift needs (Heavy ?x), which no init atom makes true, or ranges over a
+    # type without objects: no binding ever reaches the bad atom
+    kind = "Crate" if dead == "no-objects" else "Thing"
+    domain = parse_domain(
+        "(define (domain micro) (:types Thing Crate)"
+        " (:predicates (Heavy ?x - Thing) (Up ?x - Thing))"
+        f" (:action Lift :parameters (?x - {kind})"
+        f"   :precondition (and (Heavy ?x) {bad_atom}) :effect (Up ?x)))"
+    )
+    problem = parse_problem(
+        "(define (problem m) (:domain micro) (:objects a b - Thing)"
+        " (:init) (:goal (Up a)))"
+    )
+    with pytest.raises(GroundingError):
+        ground(domain, problem)
