@@ -20,26 +20,21 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from .errors import ProdplanError, ValidationError
 from .merge import merge, plan_to_operations, unsolvable_record
-from .model import validate_model
 from .model_io import (
     generate_drill_goal,
     generate_permutation_goals,
     generate_reverse_goal,
     generate_ring_layout,
-    goal_from_dict,
-    goal_to_dict,
     load_goal_model,
     load_production_model,
-    record_from_dict,
-    record_to_dict,
     save_goal_model,
     save_integrated_model,
     save_production_model,
-    shuttle_count_for,
 )
 from .pddl import (
     Plan,
@@ -71,7 +66,7 @@ CSV_FIELDS = [
 ]
 
 
-def _solver_options(parser: argparse.ArgumentParser) -> None:
+def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     group = parser.add_argument_group("solver")
     group.add_argument(
         "--mode",
@@ -105,37 +100,26 @@ def _solver_options(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="search backend (default: best available)",
     )
-    group.add_argument(
-        "--solver-cmd",
-        metavar="TEMPLATE",
-        help="external solver command with {domain} {problem} {plan} placeholders",
-    )
-
-
-def _plan_task(task, reverse_task, args):
-    """Embedded search: two greedy frontiers when a reverse task exists."""
-    backend = None if args.backend == "auto" else args.backend
-    if args.mode == "greedy" and reverse_task is not None:
-        return solve_bidirectional(
-            task,
-            reverse_task,
-            time_limit=args.timeout,
-            node_limit=args.node_limit or BIDIRECTIONAL_NODE_LIMIT,
-            backend=backend,
+    if external:
+        group.add_argument(
+            "--solver-cmd",
+            metavar="TEMPLATE",
+            help="external solver command with {domain} {problem} {plan} placeholders",
         )
-    return solve(
-        task,
-        mode=args.mode,
-        heuristic=args.heuristic,
-        time_limit=args.timeout,
-        node_limit=args.node_limit or DEFAULT_NODE_LIMIT,
-        backend=backend,
-    )
+    else:
+        parser.set_defaults(solver_cmd=None)
 
 
-def _solve_one(domain, problem, args, workdir: Path, reverse_problem=None):
-    """Ground and solve one problem, via the embedded or external solver."""
+def _plan(args, domain, problem, source=None, workdir=None):
+    """Ground, search and validate one problem; the one planning path.
+
+    ``source`` is the (model, goal, report) the problem was derived from.
+    With it, greedy embedded search derives the reverse problem and runs
+    two frontiers. ``workdir`` is where ``--solver-cmd`` runs. Every plan
+    is simulated on the forward task, which also fills in a missing cost.
+    """
     task = ground(domain, problem)
+    backend = None if args.backend == "auto" else args.backend
     if args.solver_cmd:
         result = solve_external(
             write_domain(domain),
@@ -145,12 +129,28 @@ def _solve_one(domain, problem, args, workdir: Path, reverse_problem=None):
             time_limit=args.timeout,
         )
     else:
-        reverse_task = (
-            ground(domain, reverse_problem)
-            if reverse_problem is not None and args.mode == "greedy"
+        reverse = (
+            derive_reverse_problem(*source)
+            if args.mode == "greedy" and source is not None
             else None
         )
-        result = _plan_task(task, reverse_task, args)
+        if reverse is not None:
+            result = solve_bidirectional(
+                task,
+                ground(domain, reverse),
+                time_limit=args.timeout,
+                node_limit=args.node_limit or BIDIRECTIONAL_NODE_LIMIT,
+                backend=backend,
+            )
+        else:
+            result = solve(
+                task,
+                mode=args.mode,
+                heuristic=args.heuristic,
+                time_limit=args.timeout,
+                node_limit=args.node_limit or DEFAULT_NODE_LIMIT,
+                backend=backend,
+            )
     if result.plan is not None:
         cost = validate_plan(task, result.plan)
         if result.plan.cost is None:
@@ -166,6 +166,60 @@ def _report_line(goal_id: str, result) -> str:
             f"wall={result.wall_time_ms:.0f}ms {counts}"
         )
     return f"{goal_id}: {result.status} wall={result.wall_time_ms:.0f}ms {counts}"
+
+
+def _csv_row(model, mode: str, result) -> dict:
+    return {
+        "size": len(model.equipment_of_class("PositioningUnit")),
+        "shuttles": len(model.equipment_of_class("Shuttle")),
+        "mode": mode,
+        "status": result.status,
+        "planCostSeconds": result.cost if result.cost is not None else "",
+        "steps": len(result.plan.steps) if result.plan else 0,
+        "wallTimeMs": f"{result.wall_time_ms:.1f}",
+        "expanded": result.expanded,
+    }
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _plan_goals(args, model, report, domain, goals, problems, out: Path, parallel=1):
+    """Plan each goal, write its plan file and merge all records into
+    ``out/integrated.json``; returns the search results in goal order."""
+    jobs = (
+        repeat(args),
+        repeat(domain),
+        problems,
+        [(model, goal, report) for goal in goals],
+        [out / "solver" / goal.id for goal in goals],
+    )
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            results = list(pool.map(_plan, *jobs))
+    else:
+        results = map(_plan, *jobs)
+
+    done = []
+    records = []
+    for goal, result in zip(goals, results):
+        print(_report_line(goal.id, result))
+        done.append(result)
+        if result.solved:
+            (out / f"plan-{goal.id}.txt").write_text(
+                write_plan(result.plan), encoding="utf-8"
+            )
+            records.append(plan_to_operations(result.plan, report, goal.id))
+        elif result.status == "unsolvable":
+            records.append(unsolvable_record(goal.id))
+    save_integrated_model(merge(model, records), out / "integrated.json")
+    solved = sum(1 for result in done if result.solved)
+    print(f"{solved}/{len(done)} goals solved; wrote {out / 'integrated.json'}")
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +267,7 @@ def cmd_pipeline(args) -> int:
             for goal in goals
         ]
 
-    records = []
-    for goal, problem in zip(goals, problems):
-        reverse_problem = (
-            derive_reverse_problem(model, goal, report)
-            if args.mode == "greedy" and not args.solver_cmd
-            else None
-        )
-        result = _solve_one(
-            domain, problem, args, out / "solver" / goal.id, reverse_problem
-        )
-        print(_report_line(goal.id, result))
-        if result.solved:
-            (out / f"plan-{goal.id}.txt").write_text(
-                write_plan(result.plan), encoding="utf-8"
-            )
-            records.append(plan_to_operations(result.plan, report, goal.id))
-        elif result.status == "unsolvable":
-            records.append(unsolvable_record(goal.id))
-    integrated = merge(model, records)
-    save_integrated_model(integrated, out / "integrated.json")
-    print(f"wrote {out / 'integrated.json'}")
+    _plan_goals(args, model, report, domain, goals, problems, out)
     return 0
 
 
@@ -242,118 +276,24 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _permutation_worker(payload):
-    (model_path, goal_data, mode, heuristic, timeout, node_limit, backend) = payload
-    model = load_production_model(model_path)
-    goal = goal_from_dict(goal_data)
-    domain, report = derive_domain(model)
-    problem = derive_problem(model, goal, report)
-    task = ground(domain, problem)
-    reverse_task = None
-    if mode == "greedy":
-        reverse_problem = derive_reverse_problem(model, goal, report)
-        if reverse_problem is not None:
-            reverse_task = ground(domain, reverse_problem)
-    if reverse_task is not None:
-        result = solve_bidirectional(
-            task,
-            reverse_task,
-            time_limit=timeout,
-            node_limit=node_limit or BIDIRECTIONAL_NODE_LIMIT,
-            backend=backend,
-        )
-    else:
-        result = solve(
-            task,
-            mode=mode,
-            heuristic=heuristic,
-            time_limit=timeout,
-            node_limit=node_limit or DEFAULT_NODE_LIMIT,
-            backend=backend,
-        )
-    record = None
-    plan_text = None
-    if result.solved:
-        validate_plan(task, result.plan)
-        record = record_to_dict(plan_to_operations(result.plan, report, goal.id))
-        plan_text = write_plan(result.plan)
-    elif result.status == "unsolvable":
-        record = record_to_dict(unsolvable_record(goal.id))
-    return (
-        goal.id,
-        result.status,
-        result.cost,
-        len(result.plan.steps) if result.plan else 0,
-        result.wall_time_ms,
-        result.expanded,
-        record,
-        plan_text,
-    )
-
-
 def cmd_permutations(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = load_production_model(args.model)
     goals = generate_permutation_goals(model)
-    backend = None if args.backend == "auto" else args.backend
-    payloads = [
-        (
-            args.model,
-            goal_to_dict(goal),
-            args.mode,
-            args.heuristic,
-            args.timeout,
-            args.node_limit,
-            backend,
-        )
-        for goal in goals
-    ]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_permutation_worker, payloads))
-    else:
-        rows = [_permutation_worker(p) for p in payloads]
-
-    records = []
-    csv_rows = []
-    for goal_id, status, cost, steps, wall, expanded, record, plan_text in rows:
-        suffix = f" cost={cost} steps={steps}" if status == "solved" else ""
-        print(f"{goal_id}: {status}{suffix}")
-        if plan_text is not None:
-            (out / f"plan-{goal_id}.txt").write_text(plan_text, encoding="utf-8")
-        if record is not None:
-            records.append(record_from_dict(record))
-        csv_rows.append(
-            {
-                "size": len(model.equipment_of_class("PositioningUnit")),
-                "shuttles": len(model.equipment_of_class("Shuttle")),
-                "mode": args.mode,
-                "status": status,
-                "planCostSeconds": cost if cost is not None else "",
-                "steps": steps,
-                "wallTimeMs": f"{wall:.1f}",
-                "expanded": expanded,
-            }
-        )
+    domain, report = derive_domain(model)
+    problems = [derive_problem(model, goal, report) for goal in goals]
+    results = _plan_goals(
+        args, model, report, domain, goals, problems, out, args.parallel
+    )
     if args.csv:
-        _write_csv(args.csv, csv_rows)
-    save_integrated_model(merge(model, records), out / "integrated.json")
-    solved = sum(1 for r in rows if r[1] == "solved")
-    print(f"{solved}/{len(rows)} goals solved; wrote {out / 'integrated.json'}")
+        _write_csv(args.csv, [_csv_row(model, args.mode, r) for r in results])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
-
-
-def _write_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def cmd_bench(args) -> int:
@@ -366,29 +306,11 @@ def cmd_bench(args) -> int:
         goal = generate_drill_goal(model) if args.drilling else generate_reverse_goal(model)
         domain, report = derive_domain(model)
         problem = derive_problem(model, goal, report)
-        task = ground(domain, problem)
-        reverse_task = None
-        if args.mode == "greedy":
-            reverse_problem = derive_reverse_problem(model, goal, report)
-            if reverse_problem is not None:
-                reverse_task = ground(domain, reverse_problem)
-        result = _plan_task(task, reverse_task, args)
-        if result.solved:
-            validate_plan(task, result.plan)
-        shuttles = shuttle_count_for(size, args.load_factor)
-        rows.append(
-            {
-                "size": size,
-                "shuttles": shuttles,
-                "mode": args.mode,
-                "status": result.status,
-                "planCostSeconds": result.cost if result.cost is not None else "",
-                "steps": len(result.plan.steps) if result.plan else 0,
-                "wallTimeMs": f"{result.wall_time_ms:.1f}",
-                "expanded": result.expanded,
-            }
-        )
-        print(_report_line(f"size-{size} ({shuttles} shuttles, {args.mode})", result))
+        result = _plan(args, domain, problem, (model, goal, report))
+        row = _csv_row(model, args.mode, result)
+        rows.append(row)
+        label = f"size-{size} ({row['shuttles']} shuttles, {args.mode})"
+        print(_report_line(label, result))
     if args.csv:
         _write_csv(args.csv, rows)
         print(f"wrote {args.csv}")
@@ -416,12 +338,10 @@ def cmd_gen_layout(args) -> int:
 def cmd_solve(args) -> int:
     domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
     problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    task = ground(domain, problem)
     # plain PDDL input carries no model, so no reverse derivation here
-    result = _plan_task(task, None, args)
+    result = _plan(args, domain, problem)
     print(_report_line(problem.name, result))
     if result.solved and args.plan_out:
-        validate_plan(task, result.plan)
         Path(args.plan_out).write_text(write_plan(result.plan), encoding="utf-8")
     return 0
 
@@ -457,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-parse the emitted PDDL text and plan from that",
     )
-    _solver_options(p)
+    _solver_options(p, external=True)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("permutations", help="solve every shuttle reordering goal")
@@ -465,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write per-goal rows to this CSV file")
     p.add_argument("--parallel", type=int, default=1, metavar="N")
-    _solver_options(p)
+    _solver_options(p, external=True)
     p.set_defaults(func=cmd_permutations)
 
     p = sub.add_parser("bench", help="scaling run over generated ring layouts")
@@ -473,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load-factor", type=float, default=0.65)
     p.add_argument("--drilling", action="store_true", help="add robot, boards and DrillBoard")
     p.add_argument("--csv", help="write result rows to this CSV file")
-    _solver_options(p)
+    _solver_options(p, external=False)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-layout", help="write a generated ring layout model")
@@ -488,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--plan-out", help="write the plan here when solved")
-    _solver_options(p)
+    _solver_options(p, external=False)
     p.set_defaults(func=cmd_solve)
     return parser
 

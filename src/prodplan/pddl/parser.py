@@ -50,33 +50,21 @@ class _Tok:
     col: int
 
 
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
+
 def _tokenize(text: str) -> list[_Tok]:
+    """Parentheses and names; spaces, tabs, carriage returns and comments
+    are dropped. Columns count characters from the last newline."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        if tok == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Tok(text[start:i], line, start_col))
+            line_start = match.end()
+        elif tok[0] != ";":
+            tokens.append(_Tok(tok, line, match.start() - line_start + 1))
     return tokens
 
 

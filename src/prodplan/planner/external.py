@@ -66,7 +66,7 @@ def solve_external(
             cwd=work,
             capture_output=True,
             text=True,
-            timeout=time_limit,
+            timeout=time_limit or None,  # 0 means unlimited, as in solve()
         )
     except FileNotFoundError as exc:
         raise SolverLaunchFailure(f"cannot launch {command[0]!r}: {exc}") from exc

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import stat
 import subprocess
 import sys
 
@@ -290,6 +291,51 @@ def test_permutations_parallel_matches_serial(demo_files, tmp_path):
     a = load_integrated_model(serial / "integrated.json")
     b = load_integrated_model(parallel / "integrated.json")
     assert a == b
+
+
+def test_permutations_runs_the_external_solver(demo_files, tmp_path, capsys):
+    model_path, _ = demo_files
+    solver = tmp_path / "refuse.sh"
+    solver.write_text("#!/bin/sh\nexit 12\n")
+    solver.chmod(solver.stat().st_mode | stat.S_IEXEC)
+    out = tmp_path / "out"
+    argv = ["permutations", "--model", str(model_path), "--out", str(out)]
+    assert main(argv + ["--solver-cmd", f"{solver} {{plan}}"]) == 0
+    assert "0/23 goals solved" in capsys.readouterr().out
+    records = load_integrated_model(out / "integrated.json").operations_definitions
+    assert len(records) == 23
+    assert not any(r.solvable for r in records)
+    assert (out / "solver" / "goal-2341" / "problem.pddl").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_solver_cmd_is_not_an_option_of(command, tmp_path, capsys):
+    argv = [command, "--solver-cmd", "x"]
+    if command == "solve":
+        argv += ["--domain", "d.pddl", "--problem", "p.pddl"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--solver-cmd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+def test_pipeline_and_permutations_plan_a_goal_alike(demo_files, tmp_path, mode):
+    model_path, goal_path = demo_files
+    pipe, perm = tmp_path / "pipeline", tmp_path / "permutations"
+    common = ["--model", str(model_path), "--mode", mode, "--out"]
+    assert main(["pipeline", "--goal", str(goal_path)] + common + [str(pipe)]) == 0
+    assert main(["permutations"] + common + [str(perm)]) == 0
+    (record,) = load_integrated_model(pipe / "integrated.json").operations_definitions
+    swept = {
+        r.goal_id: r
+        for r in load_integrated_model(perm / "integrated.json").operations_definitions
+    }
+    assert record.goal_id == "goal-2341"
+    assert swept["goal-2341"] == record
+    assert (perm / "plan-goal-2341.txt").read_bytes() == (
+        pipe / "plan-goal-2341.txt"
+    ).read_bytes()
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -117,6 +117,20 @@ def test_slow_solver_times_out(tmp_path, demo_texts):
     assert result.status == "timeout"
 
 
+def test_zero_time_limit_means_unlimited(tmp_path, demo_texts):
+    domain_text, problem_text = demo_texts
+    script = _demo_plan_solver(tmp_path)
+    slow = _script(tmp_path, "slow.sh", f'sleep 0.2\nexec {script} "$@"\n')
+    result = solve_external(
+        domain_text,
+        problem_text,
+        f"{slow} {{domain}} {{problem}} {{plan}}",
+        tmp_path / "work",
+        time_limit=0,
+    )
+    assert result.status == "solved" and result.cost == 50
+
+
 def test_garbage_plan_file(tmp_path, demo_texts):
     domain_text, problem_text = demo_texts
     script = _script(tmp_path, "garbage.sh", 'echo "((((" > "$1"\n')

@@ -158,6 +158,26 @@ def test_unbalanced_parens_report_position():
 
 
 @pytest.mark.parametrize(
+    "text,line,column",
+    [
+        (
+            "; header (not a form\n(define (domain d)\n"
+            "\t(:requirements :strips) ; ( in a comment\n\t\t(:nonsense))\n",
+            4,
+            4,
+        ),
+        ("(define (domain d)) ; )\n\r\n\t  )\n", 3, 4),
+        ("(define (domain d)\n ; ((\n\t(:predicates (p ?x)\n", 3, 2),
+    ],
+)
+def test_syntax_error_position_after_tabs_and_comments(text, line, column):
+    # a tab counts as one column; comments and blank lines still count lines
+    with pytest.raises(PddlSyntaxError) as err:
+        parse_domain(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "(define (domain d) (:nonsense))",
