@@ -66,6 +66,20 @@ CSV_FIELDS = [
 ]
 
 
+def _non_negative(kind):
+    """An argparse type that converts with ``kind`` and refuses values
+    below 0 (and NaN)."""
+
+    def convert(text):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names the type in its errors
+    return convert
+
+
 def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     group = parser.add_argument_group("solver")
     group.add_argument(
@@ -82,15 +96,15 @@ def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     )
     group.add_argument(
         "--timeout",
-        type=float,
+        type=_non_negative(float),
         default=DEFAULT_TIME_LIMIT,
-        help="wall-clock budget per problem in seconds (default: 300)",
+        help="wall-clock budget per problem in seconds, 0 for none (default: 300)",
     )
     group.add_argument(
         "--node-limit",
-        type=int,
+        type=_non_negative(int),
         default=None,
-        help=f"state cap before giving up with memout (default: "
+        help=f"state cap before giving up with memout, 0 for none (default: "
         f"{DEFAULT_NODE_LIMIT} single-frontier, {BIDIRECTIONAL_NODE_LIMIT} "
         f"two-frontier greedy)",
     )
@@ -108,6 +122,11 @@ def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
         )
     else:
         parser.set_defaults(solver_cmd=None)
+
+
+def _node_limit(args, default: int) -> int:
+    # 0 is a value (no cap), not a missing option
+    return default if args.node_limit is None else args.node_limit
 
 
 def _plan(args, domain, problem, source=None, workdir=None):
@@ -139,7 +158,7 @@ def _plan(args, domain, problem, source=None, workdir=None):
                 task,
                 ground(domain, reverse),
                 time_limit=args.timeout,
-                node_limit=args.node_limit or BIDIRECTIONAL_NODE_LIMIT,
+                node_limit=_node_limit(args, BIDIRECTIONAL_NODE_LIMIT),
                 backend=backend,
             )
         else:
@@ -148,7 +167,7 @@ def _plan(args, domain, problem, source=None, workdir=None):
                 mode=args.mode,
                 heuristic=args.heuristic,
                 time_limit=args.timeout,
-                node_limit=args.node_limit or DEFAULT_NODE_LIMIT,
+                node_limit=_node_limit(args, DEFAULT_NODE_LIMIT),
                 backend=backend,
             )
     if result.plan is not None:

@@ -132,7 +132,3 @@ class SolverLaunchFailure(ProdplanError):
 
 class PlanParseError(ProdplanError):
     pass
-
-
-class PlanInvalid(ProdplanError):
-    """External solver returned a plan the task simulator rejects."""

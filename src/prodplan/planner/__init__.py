@@ -2,8 +2,9 @@
 
 Two interchangeable backends: a pure-Python one (``_pysearch``) and a
 compiled C++ kernel (``_kernel``), built into a per-user cache on first
-import and loaded through ctypes. The compiled one is picked when it
-loads; without a compiler or a writable cache the pure core is used.
+import and loaded through ctypes. Each exports ``astar`` and ``greedy``
+and names itself in ``NAME``. The compiled one is picked when it loads;
+without a compiler or a writable cache the pure core is used.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ _compiled = _kernel if _kernel.LIB is not None else None
 
 
 def backend_name() -> str:
-    return "compiled" if _compiled is not None else "pure"
+    return backend_module().NAME
 
 
 def available_backends() -> tuple[str, ...]:

@@ -6,6 +6,11 @@
 // evaluation, limit checks), so both cores return the same statuses,
 // plans and counters.
 //
+// It exports the same two searches: astar (hmax or blind) and greedy
+// (deferred greedy best-first on hadd), whose one loop runs over the
+// forward frontier alone or over a forward and a backward frontier that
+// meet in the middle.
+//
 // A state is a set of fluents packed into 64-bit words. Every distinct
 // state is stored once in a registry and known by its index there; g
 // values and parent links live in tables indexed the same way.
@@ -21,6 +26,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <new>
 #include <queue>
 #include <utility>
@@ -32,7 +38,6 @@ typedef uint64_t Word;
 
 enum Status { SOLVED = 0, UNSOLVABLE = 1, TIMEOUT = 2, MEMOUT = 3 };
 enum Part { PRE_POS = 0, PRE_NEG = 1, ADD = 2, DEL = 3, PARTS = 4 };
-const int MODE_GREEDY = 1;
 const int H_BLIND = 0;
 
 const double INF = std::numeric_limits<double>::infinity();
@@ -317,14 +322,13 @@ std::vector<int> unwind(const std::vector<int>& parent_action,
     return std::vector<int>(steps.rbegin(), steps.rend());
 }
 
-int run_search(int n_fluents, const std::vector<Word>& start, const Goal& goal,
-               const int* goal_pos, int n_goal_pos, const ActionSet& actions, int mode,
-               int heuristic, const Deadline& deadline, int64_t node_limit, Result& out) {
+int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
+              const int* goal_pos, int n_goal_pos, const ActionSet& actions, int heuristic,
+              const Deadline& deadline, int64_t node_limit, Result& out) {
     const int words = words_for(n_fluents);
     const Masks masks(actions, words);
-    const bool greedy = mode == MODE_GREEDY;
-    const bool informed = greedy || heuristic != H_BLIND;
-    Heuristic h_of(n_fluents, actions, goal_pos, n_goal_pos, greedy);
+    const bool informed = heuristic != H_BLIND;
+    Heuristic h_of(n_fluents, actions, goal_pos, n_goal_pos, false);
 
     const double h0 = informed ? h_of(&start[0]) : 0.0;
     if (h0 == INF) return UNSOLVABLE;
@@ -349,11 +353,6 @@ int run_search(int n_fluents, const std::vector<Word>& start, const Goal& goal,
             out.cost = e.g;
             return SOLVED;
         }
-        double h_here = 0.0;
-        if (greedy) {
-            h_here = h_of(&state[0]);
-            if (h_here == INF) continue;  // relaxed dead end, never expand
-        }
         ++out.expanded;
         for (int a = 0; a < masks.size(); ++a) {
             if (!masks.applicable(a, &state[0])) continue;
@@ -366,28 +365,23 @@ int run_search(int n_fluents, const std::vector<Word>& start, const Goal& goal,
                 parent_action.push_back(a);
                 parent_state.push_back(e.sid);
             } else {
-                if (greedy || g_best[nid] <= ng) continue;
+                if (g_best[nid] <= ng) continue;
                 g_best[nid] = ng;
                 parent_action[nid] = a;
                 parent_state[nid] = e.sid;
             }
             ++out.generated;
             ++seq;
-            if (greedy) {
-                // deferred evaluation: queue under the parent's h
-                open.push(Entry{h_here, h_here, seq, ng, nid});
-            } else {
-                const double h = informed ? h_of(&succ[0]) : 0.0;
-                if (h == INF) continue;
-                open.push(Entry{double(ng) + h, h, seq, ng, nid});
-            }
+            const double h = informed ? h_of(&succ[0]) : 0.0;
+            if (h == INF) continue;
+            open.push(Entry{double(ng) + h, h, seq, ng, nid});
         }
         if (node_limit != 0 && states.size() > node_limit) return MEMOUT;
     }
     return UNSOLVABLE;
 }
 
-// One side of the two-frontier search; g is -1 where the side has not
+// One side of the greedy search; g is -1 where the side has not
 // recorded a state.
 struct Frontier {
     Masks masks;
@@ -409,38 +403,49 @@ struct Frontier {
     }
 };
 
-int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
-                      const std::vector<Word>& start_b, const int* init_f, int n_init_f,
-                      const Goal& goal, const int* goal_pos, int n_goal_pos,
-                      const ActionSet& f_actions, const ActionSet& b_actions,
-                      const Deadline& deadline, int64_t node_limit, Result& out) {
-    if (start_f == start_b) return SOLVED;
+// The backward side of the greedy search: where it starts and the
+// inverted actions it runs over.
+struct Backward {
+    std::vector<Word> start;
+    ActionSet actions;
+};
+
+int run_greedy(int n_fluents, const std::vector<Word>& start_f, const int* init_f, int n_init_f,
+               const Goal& goal, const int* goal_pos, int n_goal_pos,
+               const ActionSet& f_actions, const Backward* backward, const Deadline& deadline,
+               int64_t node_limit, Result& out) {
+    if (backward != NULL && start_f == backward->start) return SOLVED;
     const int words = words_for(n_fluents);
     Frontier fwd(n_fluents, f_actions, goal_pos, n_goal_pos);
-    Frontier bwd(n_fluents, b_actions, init_f, n_init_f);
-
     const double hf0 = fwd.h_of(&start_f[0]);
     if (hf0 == INF) return UNSOLVABLE;
-    const double hb0 = bwd.h_of(&start_b[0]);
 
     StateRegistry states(words);
     states.insert(&start_f[0]);
-    states.insert(&start_b[0]);
     fwd.track(0);
-    fwd.track(-1);
-    bwd.track(-1);
-    bwd.track(0);
     fwd.open.push(Entry{hf0, hf0, 0, 0, 0});
-    if (hb0 != INF) bwd.open.push(Entry{hb0, hb0, 0, 0, 1});
-    int64_t recorded = 2;  // states recorded by the forward plus the backward side
+    // the backward frontier's target is the forward initial state
+    std::unique_ptr<Frontier> bwd;
+    if (backward != NULL) {
+        bwd.reset(new Frontier(n_fluents, backward->actions, init_f, n_init_f));
+        const double hb0 = bwd->h_of(&backward->start[0]);
+        states.insert(&backward->start[0]);
+        fwd.track(-1);
+        bwd->track(-1);
+        bwd->track(0);
+        if (hb0 != INF) bwd->open.push(Entry{hb0, hb0, 0, 0, 1});
+    }
+    Frontier* const sides[2] = {&fwd, bwd.get()};
+    const int n_sides = bwd ? 2 : 1;
+    int64_t recorded = n_sides;  // states recorded by all sides together
     std::vector<Word> state(words), succ(words);
     int meet = -1;
 
     while (!fwd.open.empty() && meet < 0) {
         if ((out.expanded & CHECK_MASK) == 0 && deadline.passed()) return TIMEOUT;
-        for (int side = 0; side < 2 && meet < 0; ++side) {
-            Frontier& own = side == 0 ? fwd : bwd;
-            const Frontier& other = side == 0 ? bwd : fwd;
+        for (int side = 0; side < n_sides && meet < 0; ++side) {
+            Frontier& own = *sides[side];
+            const Frontier* other = sides[1 - side];
             if (own.open.empty()) continue;
             const Entry e = own.open.top();
             own.open.pop();
@@ -452,7 +457,7 @@ int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
                 return SOLVED;
             }
             const double h_here = own.h_of(&state[0]);
-            if (h_here == INF) continue;
+            if (h_here == INF) continue;  // relaxed dead end, never expand
             ++out.expanded;
             for (int a = 0; a < own.masks.size(); ++a) {
                 if (!own.masks.applicable(a, &state[0])) continue;
@@ -460,8 +465,7 @@ int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
                 const std::pair<int, bool> found = states.insert(&succ[0]);
                 const int nid = found.first;
                 if (found.second) {
-                    fwd.track(-1);
-                    bwd.track(-1);
+                    for (int s = 0; s < n_sides; ++s) sides[s]->track(-1);
                 } else if (own.g[nid] >= 0) {
                     continue;
                 }
@@ -471,7 +475,7 @@ int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
                 own.parent_state[nid] = e.sid;
                 ++recorded;
                 ++out.generated;
-                if (other.g[nid] >= 0) {
+                if (other != NULL && other->g[nid] >= 0) {
                     meet = nid;
                     break;
                 }
@@ -482,9 +486,9 @@ int run_bidirectional(int n_fluents, const std::vector<Word>& start_f,
         }
     }
     if (meet < 0) return UNSOLVABLE;
-    out.cost = fwd.g[meet] + bwd.g[meet];
+    out.cost = fwd.g[meet] + bwd->g[meet];
     out.plan = unwind(fwd.parent_action, fwd.parent_state, meet);
-    out.plan_b = unwind(bwd.parent_action, bwd.parent_state, meet);
+    out.plan_b = unwind(bwd->parent_action, bwd->parent_state, meet);
     return SOLVED;
 }
 
@@ -509,15 +513,14 @@ extern "C" {
 
 void release(int* plan) { std::free(plan); }
 
-// Single-frontier search: A* (mode 0) with hmax or, for heuristic 0,
-// blind; greedy best-first (mode 1) on hadd. Returns the status; counts
+// A* with hmax or, for heuristic 0, blind. Returns the status; counts
 // receives (expanded, generated, cost) and *plan a plan of *plan_len
 // action indices, to be freed with release(). Running out of memory
 // ends the search with MEMOUT. Action costs must not be negative.
-int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
-           const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
-           const int* fluents, const int64_t* cost, int mode, int heuristic, double time_limit,
-           int64_t node_limit, int64_t* counts, int** plan, int64_t* plan_len) {
+int astar(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
+          const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
+          const int* fluents, const int64_t* cost, int heuristic, double time_limit,
+          int64_t node_limit, int64_t* counts, int** plan, int64_t* plan_len) {
     const Deadline deadline(time_limit);
     Result result;
     int status = MEMOUT;
@@ -526,8 +529,8 @@ int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
         const int words = words_for(n_fluents);
         const ActionSet actions = {n_actions, start, fluents, cost};
         const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
-        status = run_search(n_fluents, pack(words, init, n_init), goal, goal_pos, n_goal_pos,
-                            actions, mode, heuristic, deadline, node_limit, result);
+        status = run_astar(n_fluents, pack(words, init, n_init), goal, goal_pos, n_goal_pos,
+                           actions, heuristic, deadline, node_limit, result);
         *plan = hand_over(result.plan, plan_len);
     } catch (const std::exception&) {  // only allocations throw
         status = MEMOUT;
@@ -538,31 +541,32 @@ int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
     return status;
 }
 
-// Two greedy frontiers meeting in the middle: forward from init_f toward
-// the goal, backward from init_b (a complete goal state) over the
-// inverted actions toward init_f. Returns the status; *plan receives the
-// forward half and *plan_b the backward half, which traces init_b toward
-// the meet state in application order. Both are freed with release().
-int search_bidirectional(int n_fluents, const int* init_f, int n_init_f, const int* init_b,
-                         int n_init_b, const int* goal_pos, int n_goal_pos, const int* goal_neg,
-                         int n_goal_neg, int nf_actions, const int* f_start,
-                         const int* f_fluents, const int64_t* f_cost, int nb_actions,
-                         const int* b_start, const int* b_fluents, const int64_t* b_cost,
-                         double time_limit, int64_t node_limit, int64_t* counts, int** plan,
-                         int64_t* plan_len, int** plan_b, int64_t* plan_b_len) {
+// Deferred greedy best-first on hadd, forward from init toward the goal.
+// When b_start is not NULL a second frontier runs backward from init_b
+// (a complete goal state) over the inverted actions toward init, and
+// the two stop at the first state both have recorded. Returns the
+// status; *plan receives the forward half and *plan_b the backward half,
+// which traces init_b toward the meet state in application order. Both
+// are freed with release().
+int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
+           const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
+           const int* fluents, const int64_t* cost, const int* init_b, int n_init_b,
+           int nb_actions, const int* b_start, const int* b_fluents, const int64_t* b_cost,
+           double time_limit, int64_t node_limit, int64_t* counts, int** plan,
+           int64_t* plan_len, int** plan_b, int64_t* plan_b_len) {
     const Deadline deadline(time_limit);
     Result result;
     int status = MEMOUT;
     *plan = *plan_b = NULL;
     try {
         const int words = words_for(n_fluents);
-        const ActionSet f_actions = {nf_actions, f_start, f_fluents, f_cost};
-        const ActionSet b_actions = {nb_actions, b_start, b_fluents, b_cost};
+        const ActionSet actions = {n_actions, start, fluents, cost};
         const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
-        status = run_bidirectional(n_fluents, pack(words, init_f, n_init_f),
-                                   pack(words, init_b, n_init_b), init_f, n_init_f, goal,
-                                   goal_pos, n_goal_pos, f_actions, b_actions, deadline,
-                                   node_limit, result);
+        const Backward backward = {pack(words, init_b, n_init_b),
+                                   {nb_actions, b_start, b_fluents, b_cost}};
+        status = run_greedy(n_fluents, pack(words, init, n_init), init, n_init, goal, goal_pos,
+                            n_goal_pos, actions, b_start != NULL ? &backward : NULL, deadline,
+                            node_limit, result);
         *plan = hand_over(result.plan, plan_len);
         *plan_b = hand_over(result.plan_b, plan_b_len);
     } catch (const std::exception&) {  // only allocations throw

@@ -8,8 +8,8 @@ source and the compile flags; later imports load it from there. ``LIB``
 is None when there is no compiler or no writable cache, and the planner
 then uses the pure core.
 
-``search`` and ``search_bidirectional`` take the arguments of the
-``_pysearch`` functions of the same names and return the same tuples.
+``astar`` and ``greedy`` take the arguments of the ``_pysearch``
+functions of the same names and return the same tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64
 from pathlib import Path
 
-from ._pysearch import H_MAX, MODE_OPTIMAL
+from ._pysearch import H_MAX
+
+NAME = "compiled"
 
 SOURCE = Path(__file__).with_name("_kernel.cpp")
 FLAGS = ("-O3", "-std=c++11", "-shared", "-fPIC")
@@ -74,16 +76,15 @@ def _build() -> Path:
 
 def _open():
     lib = ctypes.CDLL(str(_build()))
-    lib.search.argtypes = [
-        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, c_int, c_int, *_LIMITS,
-        _COSTS, *_PLAN,
+    lib.astar.argtypes = [
+        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, c_int, *_LIMITS, _COSTS, *_PLAN,
     ]
-    lib.search.restype = c_int
-    lib.search_bidirectional.argtypes = [
-        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, *_ACTIONS, *_LIMITS,
+    lib.astar.restype = c_int
+    lib.greedy.argtypes = [
+        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, *_FLUENTS, *_ACTIONS, *_LIMITS,
         _COSTS, *_PLAN, *_PLAN,
     ]
-    lib.search_bidirectional.restype = c_int
+    lib.greedy.restype = c_int
     lib.release.argtypes = [_INTS]
     lib.release.restype = None
     return lib
@@ -113,21 +114,19 @@ def _fluents(n_fluents, fluents):
     return _array(c_int, fluents), len(fluents)
 
 
-def _actions(n_fluents, pre_pos, pre_neg, add, delete, costs):
+def _actions(n_fluents, actions):
     """One action set as the kernel's flat arrays (see ``_kernel.cpp``)."""
-    n = len(costs)
-    if not len(pre_pos) == len(pre_neg) == len(add) == len(delete) == n:
-        raise ValueError("action lists differ in length")
+    start, flat, costs = [0], [], []
+    for action in actions:
+        for part in (action.pre_pos, action.pre_neg, action.add, action.delete):
+            flat.extend(part)
+            start.append(len(flat))
+        costs.append(action.cost)
     if costs and min(costs) < 0:
         # the kernel's heuristic files fluents in buckets indexed by cost
         raise ValueError("action costs must not be negative")
-    start, flat = [0], []
-    for parts in zip(pre_pos, pre_neg, add, delete):
-        for part in parts:
-            flat.extend(part)
-            start.append(len(flat))
     _check(n_fluents, flat)
-    return n, _array(c_int, start), _array(c_int, flat), _array(c_int64, costs)
+    return len(costs), _array(c_int, start), _array(c_int, flat), _array(c_int64, costs)
 
 
 def _take(plan, length) -> list[int]:
@@ -137,17 +136,12 @@ def _take(plan, length) -> list[int]:
         LIB.release(plan)
 
 
-def search(
+def astar(
     n_fluents,
     init,
     goal_pos,
     goal_neg,
-    pre_pos,
-    pre_neg,
-    add,
-    delete,
-    costs,
-    mode=MODE_OPTIMAL,
+    actions,
     heuristic=H_MAX,
     time_limit=300.0,
     node_limit=2_000_000,
@@ -155,13 +149,12 @@ def search(
     """Returns (status, action_indices, cost, expanded, generated)."""
     counts = (c_int64 * 3)()
     plan, plan_len = _INTS(), c_int64()
-    status = LIB.search(
+    status = LIB.astar(
         n_fluents,
         *_fluents(n_fluents, init),
         *_fluents(n_fluents, goal_pos),
         *_fluents(n_fluents, goal_neg),
-        *_actions(n_fluents, pre_pos, pre_neg, add, delete, costs),
-        mode,
+        *_actions(n_fluents, actions),
         heuristic,
         time_limit or 0.0,
         node_limit or 0,
@@ -173,38 +166,34 @@ def search(
     return status, _take(plan, plan_len), cost, expanded, generated
 
 
-def search_bidirectional(
+def greedy(
     n_fluents,
-    init_f,
-    init_b,
+    init,
     goal_pos,
     goal_neg,
-    f_pre_pos,
-    f_pre_neg,
-    f_add,
-    f_delete,
-    f_costs,
-    b_pre_pos,
-    b_pre_neg,
-    b_add,
-    b_delete,
-    b_costs,
+    actions,
+    backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
     """Returns (status, forward_action_indices, backward_action_indices,
-    cost, expanded, generated), as ``_pysearch.search_bidirectional``."""
+    cost, expanded, generated), as ``_pysearch.greedy``."""
+    if backward is None:
+        # a NULL action set tells the kernel there is no backward side
+        b_side = (None, 0, 0, None, None, None)
+    else:
+        init_b, b_actions = backward
+        b_side = (*_fluents(n_fluents, init_b), *_actions(n_fluents, b_actions))
     counts = (c_int64 * 3)()
     fwd, fwd_len = _INTS(), c_int64()
     bwd, bwd_len = _INTS(), c_int64()
-    status = LIB.search_bidirectional(
+    status = LIB.greedy(
         n_fluents,
-        *_fluents(n_fluents, init_f),
-        *_fluents(n_fluents, init_b),
+        *_fluents(n_fluents, init),
         *_fluents(n_fluents, goal_pos),
         *_fluents(n_fluents, goal_neg),
-        *_actions(n_fluents, f_pre_pos, f_pre_neg, f_add, f_delete, f_costs),
-        *_actions(n_fluents, b_pre_pos, b_pre_neg, b_add, b_delete, b_costs),
+        *_actions(n_fluents, actions),
+        *b_side,
         time_limit or 0.0,
         node_limit or 0,
         counts,

@@ -1,17 +1,19 @@
 """Pure-Python search backend.
 
-States are int bitmasks over the fluent universe. A* (optimal) keeps a
-lazy open list keyed (f, h, seq) with stale-entry skipping; greedy
-best-first defers heuristic evaluation: children are queued under the
-parent's h and evaluated once when popped. Heuristics: blind, hmax
-(admissible) for A*, hadd for greedy, all computed delete-relaxed and
-ignoring negative conditions.
+States are int bitmasks over the fluent universe. Two searches, both
+over action records with ``pre_pos``, ``pre_neg``, ``add``, ``delete``
+and ``cost`` (fluent indices and an int):
 
-``search_bidirectional`` runs two greedy frontiers, one from the initial
-state and one from a complete goal state over inverted actions,
-alternating expansions and stopping at the first state generated by both
-sides.
+* ``astar`` keeps a lazy open list keyed (f, h, seq) with stale-entry
+  skipping, on hmax (admissible) or blind.
+* ``greedy`` is deferred greedy best-first on hadd: children are queued
+  under the parent's h and evaluated once when popped. Given a backward
+  side it runs a second frontier from a complete goal state over
+  inverted actions, alternating expansions and stopping at the first
+  state generated by both sides; without one it is the plain
+  single-frontier search.
 
+Heuristics are computed delete-relaxed and ignore negative conditions.
 The compiled backend (``_kernel``) mirrors this module; both expose the
 same functions with the same result conventions.
 """
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import time
 from heapq import heappop, heappush
+from itertools import count
 
+NAME = "pure"
 SOLVED, UNSOLVABLE, TIMEOUT, MEMOUT = 0, 1, 2, 3
-MODE_OPTIMAL, MODE_GREEDY = 0, 1
-H_BLIND, H_MAX, H_ADD = 0, 1, 2
+H_BLIND, H_MAX = 0, 1
 
 _INF = float("inf")
 
@@ -42,15 +45,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _make_heuristic(n_fluents, pre_pos, add, costs, goal_pos, use_sum):
+def _make_heuristic(n_fluents, actions, goal, use_sum):
     """Delete-relaxed fluent costs via a Dijkstra sweep per state."""
-    n_actions = len(costs)
+    n_actions = len(actions)
     consumers = [[] for _ in range(n_fluents)]
-    for a in range(n_actions):
-        for f in pre_pos[a]:
+    for a, action in enumerate(actions):
+        for f in action.pre_pos:
             consumers[f].append(a)
-    pre_counts = [len(pre_pos[a]) for a in range(n_actions)]
-    goal_set = set(goal_pos)
+    pre_counts = [len(a.pre_pos) for a in actions]
+    add = [a.add for a in actions]
+    costs = [a.cost for a in actions]
+    goal_set = set(goal)
 
     def h_of(state: int) -> float:
         if not goal_set:
@@ -106,39 +111,55 @@ def _make_heuristic(n_fluents, pre_pos, add, costs, goal_pos, use_sum):
     return h_of
 
 
-def search(
+def _masks(actions):
+    """An action set as lists indexed by action: the bit masks of the
+    positive and negative preconditions, the add effects, the complement
+    of the delete effects, and the costs."""
+    return (
+        [_mask(a.pre_pos) for a in actions],
+        [_mask(a.pre_neg) for a in actions],
+        [_mask(a.add) for a in actions],
+        [~_mask(a.delete) for a in actions],
+        [a.cost for a in actions],
+    )
+
+
+def _unwind(parents, state):
+    steps = []
+    while True:
+        action, prev = parents[state]
+        if action < 0:
+            break
+        steps.append(action)
+        state = prev
+    steps.reverse()
+    return steps
+
+
+def astar(
     n_fluents,
     init,
     goal_pos,
     goal_neg,
-    pre_pos,
-    pre_neg,
-    add,
-    delete,
-    costs,
-    mode=MODE_OPTIMAL,
+    actions,
     heuristic=H_MAX,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
-    """Returns (status, action_indices, cost, expanded, generated)."""
+    """A* with hmax or, for H_BLIND, no heuristic.
+
+    Returns (status, action_indices, cost, expanded, generated).
+    """
     deadline = time.monotonic() + time_limit if time_limit else None
-    n_actions = len(costs)
-    pre_pos_m = [_mask(pre_pos[a]) for a in range(n_actions)]
-    pre_neg_m = [_mask(pre_neg[a]) for a in range(n_actions)]
-    add_m = [_mask(add[a]) for a in range(n_actions)]
-    del_m = [~_mask(delete[a]) for a in range(n_actions)]
+    pre_pos_m, pre_neg_m, add_m, del_m, costs = _masks(actions)
     goal_pos_m = _mask(goal_pos)
     goal_neg_m = _mask(goal_neg)
     start = _mask(init)
-
-    greedy = mode == MODE_GREEDY
-    if greedy:
-        h_of = _make_heuristic(n_fluents, pre_pos, add, costs, goal_pos, use_sum=True)
-    elif heuristic == H_BLIND:
-        h_of = None
-    else:
-        h_of = _make_heuristic(n_fluents, pre_pos, add, costs, goal_pos, use_sum=False)
+    h_of = (
+        None
+        if heuristic == H_BLIND
+        else _make_heuristic(n_fluents, actions, goal_pos, use_sum=False)
+    )
 
     h0 = h_of(start) if h_of else 0
     if h0 == _INF:
@@ -150,17 +171,6 @@ def search(
     parents = {start: (-1, 0)}
     expanded = generated = 0
 
-    def unwind(state):
-        steps = []
-        while True:
-            action, prev = parents[state]
-            if action < 0:
-                break
-            steps.append(action)
-            state = prev
-        steps.reverse()
-        return steps
-
     while open_heap:
         if deadline is not None and (expanded & 0x7F) == 0:
             if time.monotonic() > deadline:
@@ -169,145 +179,97 @@ def search(
         if g != g_best.get(state):
             continue  # superseded by a cheaper path
         if (state & goal_pos_m) == goal_pos_m and not (state & goal_neg_m):
-            return SOLVED, unwind(state), g, expanded, generated
-        if greedy:
-            h_here = h_of(state)
-            if h_here == _INF:
-                continue  # relaxed dead end, never expand
+            return SOLVED, _unwind(parents, state), g, expanded, generated
         expanded += 1
-        for a in range(n_actions):
+        for a in range(len(costs)):
             if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
                 continue
             succ = (state & del_m[a]) | add_m[a]
             ng = g + costs[a]
             old = g_best.get(succ)
-            if greedy:
-                if old is not None:
-                    continue
-            elif old is not None and old <= ng:
+            if old is not None and old <= ng:
                 continue
             g_best[succ] = ng
             parents[succ] = (a, state)
             generated += 1
             seq += 1
-            if greedy:
-                # deferred evaluation: queue under the parent's h
-                heappush(open_heap, (h_here, h_here, seq, ng, succ))
-            else:
-                h = h_of(succ) if h_of else 0
-                if h == _INF:
-                    continue
-                heappush(open_heap, (ng + h, h, seq, ng, succ))
+            h = h_of(succ) if h_of else 0
+            if h == _INF:
+                continue
+            heappush(open_heap, (ng + h, h, seq, ng, succ))
         if node_limit and len(g_best) > node_limit:
             return MEMOUT, [], 0, expanded, generated
     return UNSOLVABLE, [], 0, expanded, generated
 
 
-def search_bidirectional(
+def greedy(
     n_fluents,
-    init_f,
-    init_b,
+    init,
     goal_pos,
     goal_neg,
-    f_pre_pos,
-    f_pre_neg,
-    f_add,
-    f_delete,
-    f_costs,
-    b_pre_pos,
-    b_pre_neg,
-    b_add,
-    b_delete,
-    b_costs,
+    actions,
+    backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
-    """Two deferred greedy frontiers meeting in the middle.
+    """Deferred greedy best-first on hadd, from one end or from both.
 
-    The backward frontier starts from ``init_b`` (a complete state
-    satisfying the goal) and runs over the inverted action set; its hadd
-    target is the forward initial state. Successors are queued under
+    ``backward`` is None or (init_b, backward_actions): a second frontier
+    that starts from ``init_b`` (a complete state satisfying the goal)
+    and runs over the inverted actions, with the initial state as its
+    hadd target. The frontiers expand alternately, forward first, and
+    stop at the first state recorded by both. Successors are queued under
     their parent's h. Returns (status, forward_action_indices,
-    backward_action_indices, cost, expanded, generated) where the
-    backward indices trace init_b toward the meet state in application
-    order.
+    backward_action_indices, cost, expanded, generated); the backward
+    indices trace init_b toward the meet state in application order.
     """
     deadline = time.monotonic() + time_limit if time_limit else None
-
-    def prepare(pre_pos, pre_neg, add, delete):
-        n = len(pre_pos)
-        return (
-            [_mask(pre_pos[a]) for a in range(n)],
-            [_mask(pre_neg[a]) for a in range(n)],
-            [_mask(add[a]) for a in range(n)],
-            [~_mask(delete[a]) for a in range(n)],
-        )
-
-    f_masks = prepare(f_pre_pos, f_pre_neg, f_add, f_delete)
-    b_masks = prepare(b_pre_pos, b_pre_neg, b_add, b_delete)
     goal_pos_m = _mask(goal_pos)
     goal_neg_m = _mask(goal_neg)
-    start_f = _mask(init_f)
-    start_b = _mask(init_b)
-
-    h_f = _make_heuristic(n_fluents, f_pre_pos, f_add, f_costs, goal_pos, use_sum=True)
-    h_b = _make_heuristic(n_fluents, b_pre_pos, b_add, b_costs, init_f, use_sum=True)
-
+    start_f = _mask(init)
     g_f = {start_f: 0}
-    g_b = {start_b: 0}
     parents_f = {start_f: (-1, 0)}
-    parents_b = {start_b: (-1, 0)}
+    g_b, parents_b = {}, {}
+    if backward is not None:
+        init_b, b_actions = backward
+        start_b = _mask(init_b)
+        if start_b == start_f:
+            return SOLVED, [], [], 0, 0, 0
+        g_b[start_b] = 0
+        parents_b[start_b] = (-1, 0)
 
-    def unwind(parents, state):
-        steps = []
-        while True:
-            action, prev = parents[state]
-            if action < 0:
-                break
-            steps.append(action)
-            state = prev
-        steps.reverse()
-        return steps
-
-    def finish(meet):
-        cost = g_f[meet] + g_b[meet]
-        return SOLVED, unwind(parents_f, meet), unwind(parents_b, meet), cost
-
-    if start_b == start_f:
-        return (SOLVED, [], [], 0, 0, 0)
-
+    h_f = _make_heuristic(n_fluents, actions, goal_pos, use_sum=True)
     hf0 = h_f(start_f)
     if hf0 == _INF:
-        return (UNSOLVABLE, [], [], 0, 0, 0)
-    hb0 = h_b(start_b)
-
+        return UNSOLVABLE, [], [], 0, 0, 0
     heap_f = [(hf0, 0, 0, start_f)]
-    heap_b = [(hb0, 0, 0, start_b)] if hb0 != _INF else []
-    seq_f = seq_b = 0
+    # (open list, own g, other side's g, parents, masks, h, tie-break
+    # sequence, is forward)
+    sides = [(heap_f, g_f, g_b, parents_f, _masks(actions), h_f, count(1), True)]
+    if backward is not None:
+        h_b = _make_heuristic(n_fluents, b_actions, init, use_sum=True)
+        hb0 = h_b(start_b)
+        heap_b = [(hb0, 0, 0, start_b)] if hb0 != _INF else []
+        sides.append((heap_b, g_b, g_f, parents_b, _masks(b_actions), h_b, count(1), False))
     expanded = generated = 0
-
-    sides = (
-        (heap_f, g_f, g_b, parents_f, f_masks, f_costs, h_f, True),
-        (heap_b, g_b, g_f, parents_b, b_masks, b_costs, h_b, False),
-    )
 
     while heap_f:
         if deadline is not None and (expanded & 0x7F) == 0:
             if time.monotonic() > deadline:
-                return (TIMEOUT, [], [], 0, expanded, generated)
-        for heap, g_own, g_other, parents, masks, costs, h_of, is_fwd in sides:
+                return TIMEOUT, [], [], 0, expanded, generated
+        for heap, g_own, g_other, parents, masks, h_of, seq, is_fwd in sides:
             if not heap:
                 continue
             _, _, g, state = heappop(heap)
             if g != g_own.get(state):
                 continue
             if is_fwd and (state & goal_pos_m) == goal_pos_m and not (state & goal_neg_m):
-                return (SOLVED, unwind(parents_f, state), [], g, expanded, generated)
+                return SOLVED, _unwind(parents_f, state), [], g, expanded, generated
             h_here = h_of(state)
             if h_here == _INF:
-                continue
+                continue  # relaxed dead end, never expand
             expanded += 1
-            pre_pos_m, pre_neg_m, add_m, del_m = masks
+            pre_pos_m, pre_neg_m, add_m, del_m, costs = masks
             for a in range(len(costs)):
                 if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
                     continue
@@ -319,14 +281,12 @@ def search_bidirectional(
                 parents[succ] = (a, state)
                 generated += 1
                 if succ in g_other:
-                    result = finish(succ)
-                    return (*result, expanded, generated)
-                if is_fwd:
-                    seq_f += 1
-                    heappush(heap, (h_here, seq_f, ng, succ))
-                else:
-                    seq_b += 1
-                    heappush(heap, (h_here, seq_b, ng, succ))
+                    cost = g_f[succ] + g_b[succ]
+                    plan_f = _unwind(parents_f, succ)
+                    plan_b = _unwind(parents_b, succ)
+                    return SOLVED, plan_f, plan_b, cost, expanded, generated
+                # deferred evaluation: queue under the parent's h
+                heappush(heap, (h_here, next(seq), ng, succ))
             if node_limit and len(g_f) + len(g_b) > node_limit:
-                return (MEMOUT, [], [], 0, expanded, generated)
-    return (UNSOLVABLE, [], [], 0, expanded, generated)
+                return MEMOUT, [], [], 0, expanded, generated
+    return UNSOLVABLE, [], [], 0, expanded, generated

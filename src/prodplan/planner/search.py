@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import (
     CostMismatch,
@@ -14,16 +14,7 @@ from ..errors import (
 )
 from ..pddl import Plan, PlanStep
 from . import backend_module, backend_name
-from ._pysearch import (
-    H_BLIND,
-    H_MAX,
-    MEMOUT,
-    MODE_GREEDY,
-    MODE_OPTIMAL,
-    SOLVED,
-    TIMEOUT,
-    UNSOLVABLE,
-)
+from ._pysearch import H_BLIND, H_MAX, MEMOUT, SOLVED, TIMEOUT, UNSOLVABLE
 from .grounding import GroundTask
 
 STATUS_NAMES = {
@@ -54,19 +45,17 @@ class SearchResult:
         return self.status == "solved"
 
 
-def _flat(task: GroundTask):
-    actions = task.actions
-    return (
-        len(task.fluents),
-        sorted(task.init),
-        list(task.goal_pos),
-        list(task.goal_neg),
-        [list(a.pre_pos) for a in actions],
-        [list(a.pre_neg) for a in actions],
-        [list(a.add) for a in actions],
-        [list(a.delete) for a in actions],
-        [a.cost for a in actions],
+def _result(task, module, started, status, steps=(), cost=0, expanded=0, generated=0):
+    """The SearchResult of one search; ``steps`` index ``task.actions``."""
+    wall = (time.monotonic() - started) * 1000.0
+    if status != SOLVED:
+        name = STATUS_NAMES[status]
+        return SearchResult(name, None, None, expanded, generated, wall, module.NAME)
+    plan = Plan(
+        steps=tuple(PlanStep(task.actions[i].name, task.actions[i].args) for i in steps),
+        cost=cost,
     )
+    return SearchResult("solved", plan, cost, expanded, generated, wall, module.NAME)
 
 
 def solve(
@@ -83,31 +72,19 @@ def solve(
     if heuristic not in ("blind", "hmax"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
     module = backend_module(backend)
-    used = "pure" if module.__name__.endswith("_pysearch") else "compiled"
     started = time.monotonic()
     if task.goal_statically_false:
-        return SearchResult(
-            "unsolvable", None, None, 0, 0, (time.monotonic() - started) * 1000.0, used
-        )
-    status, steps, cost, expanded, generated = module.search(
-        *_flat(task),
-        mode=MODE_GREEDY if mode == "greedy" else MODE_OPTIMAL,
-        heuristic=H_BLIND if heuristic == "blind" else H_MAX,
-        time_limit=time_limit or 0.0,
-        node_limit=node_limit,
+        return _result(task, module, started, UNSOLVABLE)
+    args = (
+        len(task.fluents), sorted(task.init), task.goal_pos, task.goal_neg, task.actions
     )
-    wall = (time.monotonic() - started) * 1000.0
-    plan = None
-    final_cost = None
-    if status == SOLVED:
-        plan_steps = tuple(
-            PlanStep(task.actions[i].name, task.actions[i].args) for i in steps
-        )
-        final_cost = cost
-        plan = Plan(steps=plan_steps, cost=cost)
-    return SearchResult(
-        STATUS_NAMES[status], plan, final_cost, expanded, generated, wall, used
-    )
+    limits = {"time_limit": time_limit or 0.0, "node_limit": node_limit}
+    if mode == "greedy":
+        status, steps, _, cost, *counts = module.greedy(*args, **limits)
+    else:
+        h = H_BLIND if heuristic == "blind" else H_MAX
+        status, steps, cost, *counts = module.astar(*args, heuristic=h, **limits)
+    return _result(task, module, started, status, steps, cost, *counts)
 
 
 def _apply(action, state: frozenset) -> frozenset:
@@ -137,12 +114,9 @@ def solve_bidirectional(
     forward goal hit also counts as solved.
     """
     module = backend_module(backend)
-    used = "pure" if module.__name__.endswith("_pysearch") else "compiled"
     started = time.monotonic()
     if task.goal_statically_false:
-        return SearchResult(
-            "unsolvable", None, None, 0, 0, (time.monotonic() - started) * 1000.0, used
-        )
+        return _result(task, module, started, UNSOLVABLE)
 
     if set(task.fluents) != set(reverse_task.fluents):
         raise GroundingError(
@@ -151,36 +125,38 @@ def solve_bidirectional(
     index_of = {name: i for i, name in enumerate(task.fluents)}
     remap = [index_of[name] for name in reverse_task.fluents]
 
-    init_b = sorted(remap[i] for i in reverse_task.init)
+    def aligned(fluents):
+        return tuple(sorted(remap[f] for f in fluents))
+
+    init_b = aligned(reverse_task.init)
     init_b_set = set(init_b)
     if not all(f in init_b_set for f in task.goal_pos) or any(
         f in init_b_set for f in task.goal_neg
     ):
         raise GroundingError("reverse start state does not satisfy the forward goal")
 
-    r_actions = reverse_task.actions
-    status, fwd_idx, bwd_idx, cost, expanded, generated = module.search_bidirectional(
+    r_actions = [
+        replace(
+            a,
+            pre_pos=aligned(a.pre_pos),
+            pre_neg=aligned(a.pre_neg),
+            add=aligned(a.add),
+            delete=aligned(a.delete),
+        )
+        for a in reverse_task.actions
+    ]
+    status, fwd_idx, bwd_idx, cost, expanded, generated = module.greedy(
         len(task.fluents),
         sorted(task.init),
-        init_b,
-        list(task.goal_pos),
-        list(task.goal_neg),
-        [list(a.pre_pos) for a in task.actions],
-        [list(a.pre_neg) for a in task.actions],
-        [list(a.add) for a in task.actions],
-        [list(a.delete) for a in task.actions],
-        [a.cost for a in task.actions],
-        [sorted(remap[f] for f in a.pre_pos) for a in r_actions],
-        [sorted(remap[f] for f in a.pre_neg) for a in r_actions],
-        [sorted(remap[f] for f in a.add) for a in r_actions],
-        [sorted(remap[f] for f in a.delete) for a in r_actions],
-        [a.cost for a in r_actions],
+        task.goal_pos,
+        task.goal_neg,
+        task.actions,
+        backward=(init_b, r_actions),
         time_limit=time_limit or 0.0,
         node_limit=node_limit,
     )
     if status != SOLVED:
-        wall = (time.monotonic() - started) * 1000.0
-        return SearchResult(STATUS_NAMES[status], None, None, expanded, generated, wall, used)
+        return _result(task, module, started, status, (), cost, expanded, generated)
 
     state = frozenset(task.init)
     for i in fwd_idx:
@@ -189,11 +165,7 @@ def solve_bidirectional(
 
     trail = [frozenset(init_b)]
     for i in bwd_idx:
-        action = r_actions[i]
-        step = frozenset(remap[f] for f in action.delete), frozenset(
-            remap[f] for f in action.add
-        )
-        trail.append((trail[-1] - step[0]) | step[1])
+        trail.append(_apply(r_actions[i], trail[-1]))
     if trail[-1] != meet_from_forward:
         raise GroundingError("frontiers report different meet states")
 
@@ -206,14 +178,7 @@ def solve_bidirectional(
         else:
             raise GroundingError("backward step has no forward counterpart")
 
-    wall = (time.monotonic() - started) * 1000.0
-    plan = Plan(
-        steps=tuple(
-            PlanStep(task.actions[i].name, task.actions[i].args) for i in spliced
-        ),
-        cost=cost,
-    )
-    return SearchResult("solved", plan, cost, expanded, generated, wall, used)
+    return _result(task, module, started, SOLVED, spliced, cost, expanded, generated)
 
 
 def validate_plan(task: GroundTask, plan: Plan) -> int:

@@ -64,3 +64,18 @@ def test_loader_builds_once_then_loads_from_cache(tmp_path, child_pythonpath):
     env["PATH"] = str(empty_bin)
     assert _backend(env) == "compiled"
     assert _files(cache) == built
+
+
+@pytest.mark.skipif(not HAS_COMPILER, reason="needs the interpreter's C++ compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    from prodplan.planner._kernel import SOURCE
+
+    compiler = shlex.split(sysconfig.get_config_var("CXX") or "c++")
+    flags = ["-std=c++11", "-O2", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-c"]
+    proc = subprocess.run(
+        [*compiler, *flags, str(SOURCE), "-o", str(tmp_path / "kernel.o")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

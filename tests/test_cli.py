@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from prodplan import cli
 from prodplan.cli import main
 from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.model_io import (
@@ -336,6 +337,32 @@ def test_pipeline_and_permutations_plan_a_goal_alike(demo_files, tmp_path, mode)
     assert (perm / "plan-goal-2341.txt").read_bytes() == (
         pipe / "plan-goal-2341.txt"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--timeout", "--node-limit"])
+def test_negative_limits_are_usage_errors(flag, capsys):
+    argv = ["solve", "--domain", "d.pddl", "--problem", "p.pddl", flag, "-1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, searcher", [("optimal", "solve"), ("greedy", "solve_bidirectional")]
+)
+def test_node_limit_zero_means_no_cap(monkeypatch, tmp_path, mode, searcher):
+    real = getattr(cli, searcher)
+    caps = []
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs["node_limit"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, searcher, spy)
+    argv = ["bench", "--sizes", "5", "--mode", mode, "--node-limit", "0"]
+    assert main(argv + ["--csv", str(tmp_path / "bench.csv")]) == 0
+    assert caps == [0]
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -70,11 +70,31 @@ def _outcome(result):
 def test_backends_return_identical_plans():
     cases = _demo_tasks() + [("drilling ring 7", _ring_task(7, drilling=True))]
     for goal_id, task in cases:
-        outcomes = {
-            _outcome(solve(task, mode="optimal", heuristic="hmax", backend=b))
-            for b in BACKENDS
-        }
-        assert len(outcomes) == 1, goal_id
+        for mode in ("optimal", "greedy"):
+            outcomes = {
+                _outcome(solve(task, mode=mode, heuristic="hmax", backend=b))
+                for b in BACKENDS
+            }
+            assert len(outcomes) == 1, (goal_id, mode)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "drilling, cost, steps, expanded, generated",
+    [(False, 630, 63, 1982, 2103), (True, 380, 28, 58, 106)],
+    ids=["ring-7", "drilling-ring-7"],
+)
+def test_single_frontier_greedy_figures(
+    backend, drilling, cost, steps, expanded, generated
+):
+    # pins the greedy loop's exact behaviour: tie-breaking, deferred
+    # evaluation and what counts as expanded and generated
+    task = _ring_task(7, drilling=drilling)
+    result = solve(task, mode="greedy", backend=backend)
+    assert result.status == "solved"
+    assert (result.cost, len(result.plan.steps)) == (cost, steps)
+    assert (result.expanded, result.generated) == (expanded, generated)
+    assert validate_plan(task, result.plan) == cost
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
