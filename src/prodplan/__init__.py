@@ -4,114 +4,83 @@ the plans back into the model as operations data.
 The pipeline: load model -> derive domain -> derive problem per goal ->
 serialize/parse PDDL -> solve (embedded A*/greedy or an external solver)
 -> validate plan -> operations records -> integrated model.
+
+``import prodplan`` loads no submodule. Each name in ``__all__`` is
+imported from the submodule named in ``_EXPORTS`` on first use (PEP 562),
+so a process that only parses, grounds and searches, such as the
+``prodplan solve`` child of an external-solver run, never loads the
+model, transform or operations code. The compiled search core is built or
+loaded when ``prodplan.planner`` is first imported.
 """
 
-from .demo import build_demo_model, demo_goal_2341
-from .errors import (
-    InvalidParameter,
-    ParseError,
-    PlanError,
-    ProdplanError,
-    UnsupportedFeature,
-    ValidationError,
-)
-from .merge import merge, operations_to_plan, plan_to_operations, unsolvable_record
-from .model import (
-    ProductionModel,
-    RoutingGraph,
-    build_routing_graph,
-    validate_model,
-)
-from .model_io import (
-    GoalSpec,
-    IntegratedModel,
-    Operation,
-    OperationsRecord,
-    generate_drill_goal,
-    generate_permutation_goals,
-    generate_reverse_goal,
-    generate_ring_layout,
-    load_goal_model,
-    load_integrated_model,
-    load_production_model,
-    save_goal_model,
-    save_integrated_model,
-    save_production_model,
-)
-from .pddl import (
-    parse_domain,
-    parse_plan,
-    parse_problem,
-    write_domain,
-    write_plan,
-    write_problem,
-)
-from .planner import (
-    GroundTask,
-    SearchResult,
-    backend_name,
-    ground,
-    solve,
-    validate_plan,
-)
-from .planner.external import solve_external
-from .planner.search import solve_bidirectional
-from .transform import (
-    TransformReport,
-    derive_domain,
-    derive_problem,
-    derive_reverse_problem,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GoalSpec",
-    "GroundTask",
-    "IntegratedModel",
-    "InvalidParameter",
-    "Operation",
-    "OperationsRecord",
-    "ParseError",
-    "PlanError",
-    "ProductionModel",
-    "ProdplanError",
-    "RoutingGraph",
-    "SearchResult",
-    "TransformReport",
-    "UnsupportedFeature",
-    "ValidationError",
-    "backend_name",
-    "build_demo_model",
-    "build_routing_graph",
-    "demo_goal_2341",
-    "derive_domain",
-    "derive_problem",
-    "derive_reverse_problem",
-    "generate_drill_goal",
-    "generate_permutation_goals",
-    "generate_reverse_goal",
-    "generate_ring_layout",
-    "ground",
-    "load_goal_model",
-    "load_integrated_model",
-    "load_production_model",
-    "merge",
-    "operations_to_plan",
-    "parse_domain",
-    "parse_plan",
-    "parse_problem",
-    "plan_to_operations",
-    "save_goal_model",
-    "save_integrated_model",
-    "save_production_model",
-    "solve",
-    "solve_bidirectional",
-    "solve_external",
-    "unsolvable_record",
-    "validate_model",
-    "validate_plan",
-    "write_domain",
-    "write_plan",
-    "write_problem",
-]
+# Public name -> the submodule, relative to this package, that defines it.
+_EXPORTS = {
+    "GoalSpec": "model_io",
+    "GroundTask": "planner",
+    "IntegratedModel": "model_io",
+    "InvalidParameter": "errors",
+    "Operation": "model_io",
+    "OperationsRecord": "model_io",
+    "ParseError": "errors",
+    "PlanError": "errors",
+    "ProductionModel": "model",
+    "ProdplanError": "errors",
+    "RoutingGraph": "model",
+    "SearchResult": "planner",
+    "TransformReport": "transform",
+    "UnsupportedFeature": "errors",
+    "ValidationError": "errors",
+    "backend_name": "planner",
+    "build_demo_model": "demo",
+    "build_routing_graph": "model",
+    "demo_goal_2341": "demo",
+    "derive_domain": "transform",
+    "derive_problem": "transform",
+    "derive_reverse_problem": "transform",
+    "generate_drill_goal": "model_io",
+    "generate_permutation_goals": "model_io",
+    "generate_reverse_goal": "model_io",
+    "generate_ring_layout": "model_io",
+    "ground": "planner",
+    "load_goal_model": "model_io",
+    "load_integrated_model": "model_io",
+    "load_production_model": "model_io",
+    "merge": "operations",
+    "operations_to_plan": "operations",
+    "parse_domain": "pddl",
+    "parse_plan": "pddl",
+    "parse_problem": "pddl",
+    "plan_to_operations": "operations",
+    "save_goal_model": "model_io",
+    "save_integrated_model": "model_io",
+    "save_production_model": "model_io",
+    "solve": "planner",
+    "solve_bidirectional": "planner.search",
+    "solve_external": "planner.external",
+    "unsolvable_record": "operations",
+    "validate_model": "model",
+    "validate_plan": "planner",
+    "write_domain": "pddl",
+    "write_plan": "pddl",
+    "write_problem": "pddl",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

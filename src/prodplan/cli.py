@@ -16,26 +16,15 @@ recorded result, not an error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
+# Only what `solve` runs is imported here: each other subcommand imports
+# the model side (model_io, transform, operations) itself, so a solver
+# child started per goal loads just parse -> ground -> search.
 from .errors import ProdplanError, ValidationError
-from .merge import merge, plan_to_operations, unsolvable_record
-from .model_io import (
-    generate_drill_goal,
-    generate_permutation_goals,
-    generate_reverse_goal,
-    generate_ring_layout,
-    load_goal_model,
-    load_production_model,
-    save_goal_model,
-    save_integrated_model,
-    save_production_model,
-)
 from .pddl import (
     Plan,
     parse_domain,
@@ -45,14 +34,12 @@ from .pddl import (
     write_problem,
 )
 from .planner import backend_name, ground, solve, validate_plan
-from .planner.external import solve_external
 from .planner.search import (
     BIDIRECTIONAL_NODE_LIMIT,
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
     solve_bidirectional,
 )
-from .transform import derive_domain, derive_problem, derive_reverse_problem
 
 CSV_FIELDS = [
     "size",
@@ -140,6 +127,8 @@ def _plan(args, domain, problem, source=None, workdir=None):
     task = ground(domain, problem)
     backend = None if args.backend == "auto" else args.backend
     if args.solver_cmd:
+        from .planner.external import solve_external
+
         result = solve_external(
             write_domain(domain),
             write_problem(problem),
@@ -148,11 +137,11 @@ def _plan(args, domain, problem, source=None, workdir=None):
             time_limit=args.timeout,
         )
     else:
-        reverse = (
-            derive_reverse_problem(*source)
-            if args.mode == "greedy" and source is not None
-            else None
-        )
+        reverse = None
+        if args.mode == "greedy" and source is not None:
+            from .transform import derive_reverse_problem
+
+            reverse = derive_reverse_problem(*source)
         if reverse is not None:
             result = solve_bidirectional(
                 task,
@@ -201,6 +190,8 @@ def _csv_row(model, mode: str, result) -> dict:
 
 
 def _write_csv(path, rows) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
         writer.writeheader()
@@ -210,6 +201,9 @@ def _write_csv(path, rows) -> None:
 def _plan_goals(args, model, report, domain, goals, problems, out: Path, parallel=1):
     """Plan each goal, write its plan file and merge all records into
     ``out/integrated.json``; returns the search results in goal order."""
+    from .model_io import save_integrated_model
+    from .operations import merge, plan_to_operations, unsolvable_record
+
     jobs = (
         repeat(args),
         repeat(domain),
@@ -218,6 +212,8 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
         [out / "solver" / goal.id for goal in goals],
     )
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_plan, *jobs))
     else:
@@ -247,6 +243,8 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
 
 
 def cmd_validate(args) -> int:
+    from .model_io import load_production_model
+
     try:
         load_production_model(args.model)
     except ValidationError as exc:
@@ -263,6 +261,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .model_io import load_goal_model, load_production_model
+    from .transform import derive_domain, derive_problem
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = load_production_model(args.model)
@@ -296,6 +297,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_permutations(args) -> int:
+    from .model_io import generate_permutation_goals, load_production_model
+    from .transform import derive_domain, derive_problem
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = load_production_model(args.model)
@@ -316,6 +320,9 @@ def cmd_permutations(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .model_io import generate_drill_goal, generate_reverse_goal, generate_ring_layout
+    from .transform import derive_domain, derive_problem
+
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rows = []
     for size in sizes:
@@ -342,6 +349,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_layout(args) -> int:
+    from .model_io import (
+        generate_drill_goal,
+        generate_reverse_goal,
+        generate_ring_layout,
+        save_goal_model,
+        save_production_model,
+    )
+
     model = generate_ring_layout(
         args.pus, args.load_factor, with_robot_and_boards=args.drilling
     )
@@ -403,7 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write per-goal rows to this CSV file")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--parallel",
+        type=_non_negative(int),
+        default=1,
+        metavar="N",
+        help="worker processes for the goals; 0 or 1 plans them serially (default: 1)",
+    )
     _solver_options(p, external=True)
     p.set_defaults(func=cmd_permutations)
 

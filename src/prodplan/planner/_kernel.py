@@ -17,10 +17,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64
 from pathlib import Path
@@ -45,8 +41,8 @@ _PLAN = [POINTER(_INTS), POINTER(c_int64)]
 def _build() -> Path:
     """Compile the kernel into the user cache unless it is already there.
 
-    Raises OSError or SubprocessError when the compiler or a writable
-    cache is missing.
+    Raises OSError when the compiler or a writable cache is missing, or
+    when the compiler fails or runs past its time limit.
     """
     source = SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
@@ -54,6 +50,13 @@ def _build() -> Path:
     target = cache / f"_kernel-{digest}.so"
     if target.exists():
         return target
+
+    # Only a build needs these; a cache hit skips their import.
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
     cache.mkdir(parents=True, exist_ok=True)
     compiler = shlex.split(sysconfig.get_config_var("CXX") or "c++")
     # A unique temporary name and an atomic rename: concurrent importers
@@ -68,9 +71,16 @@ def _build() -> Path:
             timeout=_BUILD_TIMEOUT_S,
         )
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {SOURCE.name} failed: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Libraries of older kernel sources or flags, and of the former Cython
+    # core, are never loaded again. A process that still maps one keeps it.
+    for stale in (*cache.glob("_kernel-*.so"), *cache.glob("_speedups-*.so")):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 
@@ -92,7 +102,7 @@ def _open():
 
 try:
     LIB = _open()
-except (OSError, subprocess.SubprocessError):
+except OSError:
     LIB = None
 
 

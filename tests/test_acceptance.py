@@ -15,7 +15,7 @@ import pytest
 from prodplan.cli import main
 from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.errors import PreconditionViolated
-from prodplan.merge import merge, plan_to_operations
+from prodplan.operations import merge, plan_to_operations
 from prodplan.model_io import (
     generate_drill_goal,
     generate_permutation_goals,

@@ -67,6 +67,27 @@ def test_loader_builds_once_then_loads_from_cache(tmp_path, child_pythonpath):
 
 
 @pytest.mark.skipif(not HAS_COMPILER, reason="needs the interpreter's C++ compiler")
+def test_build_removes_stale_libraries(tmp_path, child_pythonpath):
+    cache = tmp_path / "cache" / "prodplan"
+    cache.mkdir(parents=True)
+    stale = [
+        cache / "_kernel-0123456789abcdef.so",
+        cache / "_speedups-0123456789abcdef.cpython-311-x86_64-linux-gnu.so",
+    ]
+    for path in stale:
+        path.write_bytes(b"a library of an older core")
+    other = cache / "notes.txt"
+    other.write_text("not a kernel library")
+
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert _backend(env) == "compiled"
+    kept = _files(cache)
+    assert other in kept and not any(path in kept for path in stale)
+    (built,) = [path for path in kept if path != other]
+    assert re.fullmatch(r"_kernel-[0-9a-f]{16}\.so", built.name)
+
+
+@pytest.mark.skipif(not HAS_COMPILER, reason="needs the interpreter's C++ compiler")
 def test_kernel_compiles_without_warnings(tmp_path):
     from prodplan.planner._kernel import SOURCE
 

@@ -294,6 +294,22 @@ def test_permutations_parallel_matches_serial(demo_files, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("workers", ["0", "1"])
+def test_permutations_parallel_zero_or_one_plans_serially(
+    demo_files, tmp_path, monkeypatch, capsys, workers
+):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    model_path, _ = demo_files
+    argv = ["permutations", "--model", str(model_path), "--out", str(tmp_path)]
+    assert main(argv + ["--parallel", workers]) == 0
+    assert "23/23 goals solved" in capsys.readouterr().out
+
+
 def test_permutations_runs_the_external_solver(demo_files, tmp_path, capsys):
     model_path, _ = demo_files
     solver = tmp_path / "refuse.sh"
@@ -339,11 +355,14 @@ def test_pipeline_and_permutations_plan_a_goal_alike(demo_files, tmp_path, mode)
     ).read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--timeout", "--node-limit"])
+@pytest.mark.parametrize("flag", ["--timeout", "--node-limit", "--parallel"])
 def test_negative_limits_are_usage_errors(flag, capsys):
-    argv = ["solve", "--domain", "d.pddl", "--problem", "p.pddl", flag, "-1"]
+    if flag == "--parallel":
+        argv = ["permutations", "--model", "m.json", "--out", "out"]
+    else:
+        argv = ["solve", "--domain", "d.pddl", "--problem", "p.pddl"]
     with pytest.raises(SystemExit) as err:
-        main(argv)
+        main(argv + [flag, "-1"])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
 

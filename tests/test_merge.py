@@ -10,7 +10,7 @@ from prodplan.errors import (
     UnknownActionName,
     UnknownObjectId,
 )
-from prodplan.merge import merge, operations_to_plan, plan_to_operations, unsolvable_record
+from prodplan.operations import merge, operations_to_plan, plan_to_operations, unsolvable_record
 from prodplan.model_io import (
     load_integrated_model,
     record_from_dict,
