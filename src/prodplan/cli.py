@@ -111,6 +111,18 @@ def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
         parser.set_defaults(solver_cmd=None)
 
 
+class _Version(argparse.Action):
+    """``--version``: names the search backend, which resolving builds the
+    compiled kernel on a cold cache, so only this flag resolves it."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} (backend: {backend_name()})")
+        parser.exit()
+
+
 def _node_limit(args, default: int) -> int:
     # 0 is a value (no cap), not a missing option
     return default if args.node_limit is None else args.node_limit
@@ -391,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile production-system models to PDDL, plan, merge plans back.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s (backend: {backend_name()})"
+        "--version", action=_Version, help="show the search backend and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,9 +7,10 @@
 // plans and counters.
 //
 // It exports the same two searches: astar (hmax or blind) and greedy
-// (deferred greedy best-first on hadd), whose one loop runs over the
-// forward frontier alone or over a forward and a backward frontier that
-// meet in the middle.
+// (deferred greedy best-first on pattern databases), whose one loop runs
+// over the forward frontier alone or over a forward and a backward
+// frontier that meet in the middle. The pattern tables are built in
+// Python (patterns.py); the kernel only looks them up.
 //
 // A state is a set of fluents packed into 64-bit words. Every distinct
 // state is stored once in a registry and known by its index there; g
@@ -19,6 +20,12 @@
 // of its positive preconditions, negative preconditions, add effects and
 // delete effects are fluents[start[4a] .. start[4a+1]), then up to
 // start[4a+2], start[4a+3] and start[4a+4]; its cost is cost[a].
+//
+// A side's pattern tables arrive as five arrays: fluent f sets variable
+// var_of[f] (-1: none) to value_of[f], and a variable none of whose
+// fluents holds is 0; pattern k is layout[5k .. 5k+5) = (offset, var_a,
+// stride_a, var_b, stride_b), and a state's entry in it is
+// table[offset + value[var_a] * stride_a + value[var_b] * stride_b].
 
 #include <chrono>
 #include <cstdint>
@@ -41,6 +48,7 @@ enum Part { PRE_POS = 0, PRE_NEG = 1, ADD = 2, DEL = 3, PARTS = 4 };
 const int H_BLIND = 0;
 
 const double INF = std::numeric_limits<double>::infinity();
+// also the pattern table entry of a dead end (DEAD_END in _pysearch.py)
 const int64_t UNREACHED = int64_t(1) << 62;
 // time limits are checked whenever the expansion count is a multiple of 128
 const int64_t CHECK_MASK = 0x7F;
@@ -100,15 +108,15 @@ class Masks {
     std::vector<Word> bits_;
 };
 
-// Delete-relaxed cost of reaching the goal fluents from a state, ignoring
-// negative conditions: hmax (a fluent costs the most expensive
-// precondition plus the action) or hadd (the sum of the preconditions).
-// Costs are integers, so a queue of buckets indexed by cost finds the
-// same values as the pure core's Dijkstra sweep.
-class Heuristic {
+// hmax: the delete-relaxed cost of reaching the goal fluents from a
+// state, ignoring negative conditions, where a fluent costs its most
+// expensive precondition plus the action. Costs are integers, so a queue
+// of buckets indexed by cost finds the same values as the pure core's
+// Dijkstra sweep.
+class Hmax {
   public:
-    Heuristic(int n_fluents, const ActionSet& actions, const int* goal, int n_goal, bool use_sum)
-        : n_fluents_(n_fluents), actions_(actions), use_sum_(use_sum),
+    Hmax(int n_fluents, const ActionSet& actions, const int* goal, int n_goal)
+        : n_fluents_(n_fluents), actions_(actions),
           cons_start_(n_fluents + 1, 0), pre_count_(actions.n), is_goal_(n_fluents, 0),
           value_(n_fluents), agg_(actions.n), done_(n_fluents), buckets_(1) {
         // consumers of each fluent, in action order (CSR)
@@ -152,10 +160,7 @@ class Heuristic {
                 if (is_goal_[f] && --goal_left == 0) break;
                 for (int j = cons_start_[f]; j < cons_start_[f + 1]; ++j) {
                     int a = cons_action_[j];
-                    if (use_sum_)
-                        agg_[a] += int64_t(cur);
-                    else if (int64_t(cur) > agg_[a])
-                        agg_[a] = int64_t(cur);
+                    if (int64_t(cur) > agg_[a]) agg_[a] = int64_t(cur);
                     if (--remaining_[a] == 0) fire(a, agg_[a] + actions_.cost[a]);
                 }
             }
@@ -164,10 +169,7 @@ class Heuristic {
         for (size_t i = 0; i < goals_.size(); ++i) {
             int64_t v = value_[goals_[i]];
             if (v >= UNREACHED) return INF;
-            if (use_sum_)
-                total += v;
-            else if (v > total)
-                total = v;
+            if (v > total) total = v;
         }
         return double(total);
     }
@@ -187,7 +189,6 @@ class Heuristic {
 
     int n_fluents_;
     ActionSet actions_;
-    bool use_sum_;
     std::vector<int> cons_start_, cons_action_;
     std::vector<int> pre_count_;
     std::vector<int> goals_;  // distinct goal fluents
@@ -198,6 +199,45 @@ class Heuristic {
     std::vector<char> done_;
     std::vector<std::vector<int> > buckets_;
     std::vector<int64_t> dirty_;  // buckets that hold entries
+};
+
+// The caller's pattern tables of one side (see the header); the kernel
+// reads them during the call.
+struct Patterns {
+    int n_vars;
+    const int* var_of;
+    const int* value_of;
+    int n_patterns;
+    const int* layout;
+    const int64_t* table;
+};
+
+// The largest pattern table entry of a state, INF for a dead end.
+class PatternLookup {
+  public:
+    PatternLookup(int n_fluents, const Patterns& patterns)
+        : n_fluents_(n_fluents), p_(patterns), value_(patterns.n_vars) {}
+
+    double operator()(const Word* state) {
+        std::fill(value_.begin(), value_.end(), 0);
+        for (int w = 0; w * 64 < n_fluents_; ++w)
+            for (Word bits = state[w]; bits; bits &= bits - 1) {
+                const int f = w * 64 + __builtin_ctzll(bits);
+                if (p_.var_of[f] >= 0) value_[p_.var_of[f]] = p_.value_of[f];
+            }
+        int64_t h = 0;
+        for (int k = 0; k < p_.n_patterns; ++k) {
+            const int* l = p_.layout + 5 * k;
+            const int64_t entry = p_.table[l[0] + value_[l[1]] * l[2] + value_[l[3]] * l[4]];
+            if (entry > h) h = entry;
+        }
+        return h >= UNREACHED ? INF : double(h);
+    }
+
+  private:
+    int n_fluents_;
+    Patterns p_;
+    std::vector<int> value_;
 };
 
 // Interns states: each distinct state is copied once into a pool and
@@ -328,7 +368,7 @@ int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
     const int words = words_for(n_fluents);
     const Masks masks(actions, words);
     const bool informed = heuristic != H_BLIND;
-    Heuristic h_of(n_fluents, actions, goal_pos, n_goal_pos, false);
+    Hmax h_of(n_fluents, actions, goal_pos, n_goal_pos);
 
     const double h0 = informed ? h_of(&start[0]) : 0.0;
     if (h0 == INF) return UNSOLVABLE;
@@ -386,15 +426,15 @@ int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
 struct Frontier {
     Masks masks;
     const int64_t* cost;
-    Heuristic h_of;
+    PatternLookup h_of;
     OpenList open;
     int64_t seq;
     std::vector<int64_t> g;
     std::vector<int> parent_action, parent_state;
 
-    Frontier(int n_fluents, const ActionSet& actions, const int* target, int n_target)
+    Frontier(int n_fluents, const ActionSet& actions, const Patterns& patterns)
         : masks(actions, words_for(n_fluents)), cost(actions.cost),
-          h_of(n_fluents, actions, target, n_target, true), seq(0) {}
+          h_of(n_fluents, patterns), seq(0) {}
 
     void track(int64_t g0) {
         g.push_back(g0);
@@ -403,20 +443,21 @@ struct Frontier {
     }
 };
 
-// The backward side of the greedy search: where it starts and the
-// inverted actions it runs over.
+// The backward side of the greedy search: where it starts, the inverted
+// actions it runs over and its pattern tables, whose target is the
+// forward initial state.
 struct Backward {
     std::vector<Word> start;
     ActionSet actions;
+    Patterns patterns;
 };
 
-int run_greedy(int n_fluents, const std::vector<Word>& start_f, const int* init_f, int n_init_f,
-               const Goal& goal, const int* goal_pos, int n_goal_pos,
-               const ActionSet& f_actions, const Backward* backward, const Deadline& deadline,
-               int64_t node_limit, Result& out) {
+int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal,
+               const ActionSet& f_actions, const Patterns& f_patterns, const Backward* backward,
+               const Deadline& deadline, int64_t node_limit, Result& out) {
     if (backward != NULL && start_f == backward->start) return SOLVED;
     const int words = words_for(n_fluents);
-    Frontier fwd(n_fluents, f_actions, goal_pos, n_goal_pos);
+    Frontier fwd(n_fluents, f_actions, f_patterns);
     const double hf0 = fwd.h_of(&start_f[0]);
     if (hf0 == INF) return UNSOLVABLE;
 
@@ -424,10 +465,9 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const int* init_
     states.insert(&start_f[0]);
     fwd.track(0);
     fwd.open.push(Entry{hf0, hf0, 0, 0, 0});
-    // the backward frontier's target is the forward initial state
     std::unique_ptr<Frontier> bwd;
     if (backward != NULL) {
-        bwd.reset(new Frontier(n_fluents, backward->actions, init_f, n_init_f));
+        bwd.reset(new Frontier(n_fluents, backward->actions, backward->patterns));
         const double hb0 = bwd->h_of(&backward->start[0]);
         states.insert(&backward->start[0]);
         fwd.track(-1);
@@ -457,7 +497,7 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const int* init_
                 return SOLVED;
             }
             const double h_here = own.h_of(&state[0]);
-            if (h_here == INF) continue;  // relaxed dead end, never expand
+            if (h_here == INF) continue;  // proven dead end, never expand
             ++out.expanded;
             for (int a = 0; a < own.masks.size(); ++a) {
                 if (!own.masks.applicable(a, &state[0])) continue;
@@ -541,19 +581,22 @@ int astar(int n_fluents, const int* init, int n_init, const int* goal_pos, int n
     return status;
 }
 
-// Deferred greedy best-first on hadd, forward from init toward the goal.
-// When b_start is not NULL a second frontier runs backward from init_b
-// (a complete goal state) over the inverted actions toward init, and
-// the two stop at the first state both have recorded. Returns the
-// status; *plan receives the forward half and *plan_b the backward half,
-// which traces init_b toward the meet state in application order. Both
-// are freed with release().
+// Deferred greedy best-first on pattern tables, forward from init toward
+// the goal. When b_start is not NULL a second frontier runs backward from
+// init_b (a complete goal state) over the inverted actions toward init,
+// on its own tables, and the two stop at the first state both have
+// recorded. Returns the status; *plan receives the forward half and
+// *plan_b the backward half, which traces init_b toward the meet state
+// in application order. Both are freed with release().
 int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
            const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
-           const int* fluents, const int64_t* cost, const int* init_b, int n_init_b,
-           int nb_actions, const int* b_start, const int* b_fluents, const int64_t* b_cost,
-           double time_limit, int64_t node_limit, int64_t* counts, int** plan,
-           int64_t* plan_len, int** plan_b, int64_t* plan_b_len) {
+           const int* fluents, const int64_t* cost, int n_vars, const int* var_of,
+           const int* value_of, int n_patterns, const int* layout, const int64_t* table,
+           const int* init_b, int n_init_b, int nb_actions, const int* b_start,
+           const int* b_fluents, const int64_t* b_cost, int nb_vars, const int* b_var_of,
+           const int* b_value_of, int nb_patterns, const int* b_layout,
+           const int64_t* b_table, double time_limit, int64_t node_limit, int64_t* counts,
+           int** plan, int64_t* plan_len, int** plan_b, int64_t* plan_b_len) {
     const Deadline deadline(time_limit);
     Result result;
     int status = MEMOUT;
@@ -562,11 +605,13 @@ int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
         const int words = words_for(n_fluents);
         const ActionSet actions = {n_actions, start, fluents, cost};
         const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
-        const Backward backward = {pack(words, init_b, n_init_b),
-                                   {nb_actions, b_start, b_fluents, b_cost}};
-        status = run_greedy(n_fluents, pack(words, init, n_init), init, n_init, goal, goal_pos,
-                            n_goal_pos, actions, b_start != NULL ? &backward : NULL, deadline,
-                            node_limit, result);
+        const Patterns patterns = {n_vars, var_of, value_of, n_patterns, layout, table};
+        const Backward backward = {
+            pack(words, init_b, n_init_b),
+            {nb_actions, b_start, b_fluents, b_cost},
+            {nb_vars, b_var_of, b_value_of, nb_patterns, b_layout, b_table}};
+        status = run_greedy(n_fluents, pack(words, init, n_init), goal, actions, patterns,
+                            b_start != NULL ? &backward : NULL, deadline, node_limit, result);
         *plan = hand_over(result.plan, plan_len);
         *plan_b = hand_over(result.plan_b, plan_b_len);
     } catch (const std::exception&) {  // only allocations throw

@@ -34,6 +34,7 @@ _INTS = POINTER(c_int)
 _COSTS = POINTER(c_int64)
 _FLUENTS = [_INTS, c_int]
 _ACTIONS = [c_int, _INTS, _INTS, _COSTS]
+_PATTERNS = [c_int, _INTS, _INTS, c_int, _INTS, _COSTS]
 _LIMITS = [c_double, c_int64]
 _PLAN = [POINTER(_INTS), POINTER(c_int64)]
 
@@ -91,8 +92,8 @@ def _open():
     ]
     lib.astar.restype = c_int
     lib.greedy.argtypes = [
-        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, *_FLUENTS, *_ACTIONS, *_LIMITS,
-        _COSTS, *_PLAN, *_PLAN,
+        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, *_PATTERNS, *_FLUENTS, *_ACTIONS,
+        *_PATTERNS, *_LIMITS, _COSTS, *_PLAN, *_PLAN,
     ]
     lib.greedy.restype = c_int
     lib.release.argtypes = [_INTS]
@@ -139,6 +140,35 @@ def _actions(n_fluents, actions):
     return len(costs), _array(c_int, start), _array(c_int, flat), _array(c_int64, costs)
 
 
+def _patterns(n_fluents, tables):
+    """One side's ``patterns.PatternTables`` as the kernel's arrays (see
+    ``_kernel.cpp``), after checking every index the kernel will form."""
+    var_of, value_of = list(tables.var_of), list(tables.value_of)
+    if len(var_of) != n_fluents or len(value_of) != n_fluents:
+        raise ValueError("pattern tables cover a different number of fluents")
+    top = [0] * tables.n_vars  # the largest value of each variable
+    for v, i in zip(var_of, value_of):
+        if not (-1 <= v < tables.n_vars and i >= 0):
+            raise ValueError("pattern variable or value out of range")
+        if v >= 0:
+            top[v] = max(top[v], i)
+    layout = [x for pattern in tables.patterns for x in pattern]
+    for offset, a, stride_a, b, stride_b in tables.patterns:
+        if not (0 <= a < tables.n_vars and 0 <= b < tables.n_vars):
+            raise ValueError("pattern variable out of range")
+        last = offset + top[a] * stride_a + top[b] * stride_b
+        if min(offset, stride_a, stride_b) < 0 or last >= len(tables.table):
+            raise ValueError("pattern reaches past its table")
+    return (
+        tables.n_vars,
+        _array(c_int, var_of),
+        _array(c_int, value_of),
+        len(tables.patterns),
+        _array(c_int, layout),
+        _array(c_int64, tables.table),
+    )
+
+
 def _take(plan, length) -> list[int]:
     try:
         return plan[: length.value]
@@ -182,6 +212,7 @@ def greedy(
     goal_pos,
     goal_neg,
     actions,
+    tables,
     backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
@@ -190,10 +221,14 @@ def greedy(
     cost, expanded, generated), as ``_pysearch.greedy``."""
     if backward is None:
         # a NULL action set tells the kernel there is no backward side
-        b_side = (None, 0, 0, None, None, None)
+        b_side = (None, 0, 0, None, None, None, 0, None, None, 0, None, None)
     else:
-        init_b, b_actions = backward
-        b_side = (*_fluents(n_fluents, init_b), *_actions(n_fluents, b_actions))
+        init_b, b_actions, b_tables = backward
+        b_side = (
+            *_fluents(n_fluents, init_b),
+            *_actions(n_fluents, b_actions),
+            *_patterns(n_fluents, b_tables),
+        )
     counts = (c_int64 * 3)()
     fwd, fwd_len = _INTS(), c_int64()
     bwd, bwd_len = _INTS(), c_int64()
@@ -203,6 +238,7 @@ def greedy(
         *_fluents(n_fluents, goal_pos),
         *_fluents(n_fluents, goal_neg),
         *_actions(n_fluents, actions),
+        *_patterns(n_fluents, tables),
         *b_side,
         time_limit or 0.0,
         node_limit or 0,

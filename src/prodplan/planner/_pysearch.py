@@ -5,15 +5,17 @@ over action records with ``pre_pos``, ``pre_neg``, ``add``, ``delete``
 and ``cost`` (fluent indices and an int):
 
 * ``astar`` keeps a lazy open list keyed (f, h, seq) with stale-entry
-  skipping, on hmax (admissible) or blind.
-* ``greedy`` is deferred greedy best-first on hadd: children are queued
-  under the parent's h and evaluated once when popped. Given a backward
+  skipping, on hmax (admissible, delete-relaxed, ignoring negative
+  conditions) or blind.
+* ``greedy`` is deferred greedy best-first on pattern databases: children
+  are queued under the parent's h and evaluated once when popped. h is
+  looked up in tables that ``patterns.pattern_tables`` builds for each
+  side; a table entry of ``DEAD_END`` prunes the state. Given a backward
   side it runs a second frontier from a complete goal state over
   inverted actions, alternating expansions and stopping at the first
   state generated by both sides; without one it is the plain
   single-frontier search.
 
-Heuristics are computed delete-relaxed and ignore negative conditions.
 The compiled backend (``_kernel``) mirrors this module; both expose the
 same functions with the same result conventions.
 """
@@ -29,6 +31,8 @@ SOLVED, UNSOLVABLE, TIMEOUT, MEMOUT = 0, 1, 2, 3
 H_BLIND, H_MAX = 0, 1
 
 _INF = float("inf")
+# Pattern table entry of an abstract state that cannot reach the target.
+DEAD_END = 1 << 62
 
 
 def _mask(indices) -> int:
@@ -45,8 +49,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _make_heuristic(n_fluents, actions, goal, use_sum):
-    """Delete-relaxed fluent costs via a Dijkstra sweep per state."""
+def _make_hmax(n_fluents, actions, goal):
+    """hmax: delete-relaxed fluent costs via a Dijkstra sweep per state."""
     n_actions = len(actions)
     consumers = [[] for _ in range(n_fluents)]
     for a, action in enumerate(actions):
@@ -87,9 +91,7 @@ def _make_heuristic(n_fluents, actions, goal, use_sum):
                     break
             for a in consumers[f]:
                 remaining[a] -= 1
-                if use_sum:
-                    agg[a] += c
-                elif c > agg[a]:
+                if c > agg[a]:
                     agg[a] = c
                 if remaining[a] == 0:
                     fire = agg[a] + costs[a]
@@ -102,11 +104,31 @@ def _make_heuristic(n_fluents, actions, goal, use_sum):
             v = value[f]
             if v == _INF:
                 return _INF
-            if use_sum:
-                total += v
-            elif v > total:
+            if v > total:
                 total = v
         return total
+
+    return h_of
+
+
+def _lookup(tables):
+    """h of a state from ``patterns.PatternTables``: the largest table
+    entry over the patterns, INF from ``DEAD_END`` on."""
+    var_of, value_of, table = tables.var_of, tables.value_of, tables.table
+    mapped = _mask(f for f, v in enumerate(var_of) if v >= 0)
+    patterns = tables.patterns
+    n_vars = tables.n_vars
+
+    def h_of(state: int) -> float:
+        value = [0] * n_vars
+        for f in _bits(state & mapped):
+            value[var_of[f]] = value_of[f]
+        h = 0
+        for offset, a, stride_a, b, stride_b in patterns:
+            entry = table[offset + value[a] * stride_a + value[b] * stride_b]
+            if entry > h:
+                h = entry
+        return _INF if h >= DEAD_END else h
 
     return h_of
 
@@ -155,11 +177,7 @@ def astar(
     goal_pos_m = _mask(goal_pos)
     goal_neg_m = _mask(goal_neg)
     start = _mask(init)
-    h_of = (
-        None
-        if heuristic == H_BLIND
-        else _make_heuristic(n_fluents, actions, goal_pos, use_sum=False)
-    )
+    h_of = None if heuristic == H_BLIND else _make_hmax(n_fluents, actions, goal_pos)
 
     h0 = h_of(start) if h_of else 0
     if h0 == _INF:
@@ -208,16 +226,20 @@ def greedy(
     goal_pos,
     goal_neg,
     actions,
+    tables,
     backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
-    """Deferred greedy best-first on hadd, from one end or from both.
+    """Deferred greedy best-first on pattern tables, from one end or from
+    both.
 
-    ``backward`` is None or (init_b, backward_actions): a second frontier
-    that starts from ``init_b`` (a complete state satisfying the goal)
-    and runs over the inverted actions, with the initial state as its
-    hadd target. The frontiers expand alternately, forward first, and
+    ``tables`` is the forward side's ``patterns.PatternTables``, built for
+    the goal. ``backward`` is None or (init_b, backward_actions,
+    backward_tables): a second frontier that starts from ``init_b`` (a
+    complete state satisfying the goal) and runs over the inverted
+    actions, on tables built for the initial state as its target. The
+    frontiers expand alternately, forward first, and
     stop at the first state recorded by both. Successors are queued under
     their parent's h. Returns (status, forward_action_indices,
     backward_action_indices, cost, expanded, generated); the backward
@@ -231,14 +253,14 @@ def greedy(
     parents_f = {start_f: (-1, 0)}
     g_b, parents_b = {}, {}
     if backward is not None:
-        init_b, b_actions = backward
+        init_b, b_actions, b_tables = backward
         start_b = _mask(init_b)
         if start_b == start_f:
             return SOLVED, [], [], 0, 0, 0
         g_b[start_b] = 0
         parents_b[start_b] = (-1, 0)
 
-    h_f = _make_heuristic(n_fluents, actions, goal_pos, use_sum=True)
+    h_f = _lookup(tables)
     hf0 = h_f(start_f)
     if hf0 == _INF:
         return UNSOLVABLE, [], [], 0, 0, 0
@@ -247,7 +269,7 @@ def greedy(
     # sequence, is forward)
     sides = [(heap_f, g_f, g_b, parents_f, _masks(actions), h_f, count(1), True)]
     if backward is not None:
-        h_b = _make_heuristic(n_fluents, b_actions, init, use_sum=True)
+        h_b = _lookup(b_tables)
         hb0 = h_b(start_b)
         heap_b = [(hb0, 0, 0, start_b)] if hb0 != _INF else []
         sides.append((heap_b, g_b, g_f, parents_b, _masks(b_actions), h_b, count(1), False))
@@ -267,7 +289,7 @@ def greedy(
                 return SOLVED, _unwind(parents_f, state), [], g, expanded, generated
             h_here = h_of(state)
             if h_here == _INF:
-                continue  # relaxed dead end, never expand
+                continue  # proven dead end, never expand
             expanded += 1
             pre_pos_m, pre_neg_m, add_m, del_m, costs = masks
             for a in range(len(costs)):

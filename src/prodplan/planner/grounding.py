@@ -113,6 +113,12 @@ class _Literal:
         return " ".join([self.pred, *[vals[s] for s in self.slots]])
 
 
+def fluent_atom(name: str) -> tuple[str, ...]:
+    """The predicate and arguments of a ground fluent name, undoing
+    ``_Literal.fluent``: no name or argument contains a space."""
+    return tuple(name.split(" "))
+
+
 class _Slots:
     """Slot numbering of one schema; ``template`` holds the constants."""
 

@@ -66,7 +66,8 @@ def solve(
     node_limit: int = DEFAULT_NODE_LIMIT,
     backend: str | None = None,
 ) -> SearchResult:
-    """Run A* (optimal, blind or hmax) or greedy best-first (hadd)."""
+    """Run A* (optimal, blind or hmax) or greedy best-first on pattern
+    databases (see ``patterns``)."""
     if mode not in ("optimal", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     if heuristic not in ("blind", "hmax"):
@@ -78,13 +79,25 @@ def solve(
     args = (
         len(task.fluents), sorted(task.init), task.goal_pos, task.goal_neg, task.actions
     )
-    limits = {"time_limit": time_limit or 0.0, "node_limit": node_limit}
     if mode == "greedy":
-        status, steps, _, cost, *counts = module.greedy(*args, **limits)
+        from .patterns import pattern_tables
+
+        tables = pattern_tables(task.fluents, *args[1:])
+        limits = {"time_limit": _remaining(time_limit, started), "node_limit": node_limit}
+        status, steps, _, cost, *counts = module.greedy(*args, tables, **limits)
     else:
+        limits = {"time_limit": time_limit or 0.0, "node_limit": node_limit}
         h = H_BLIND if heuristic == "blind" else H_MAX
         status, steps, cost, *counts = module.astar(*args, heuristic=h, **limits)
     return _result(task, module, started, status, steps, cost, *counts)
+
+
+def _remaining(time_limit, started) -> float:
+    """What is left of ``time_limit`` after the heuristic was built; 0
+    stays no limit, and a spent budget stays a limit."""
+    if not time_limit:
+        return 0.0
+    return max(time_limit - (time.monotonic() - started), 1e-9)
 
 
 def _apply(action, state: frozenset) -> frozenset:
@@ -108,10 +121,12 @@ def solve_bidirectional(
 
     ``reverse_task`` grounds the flipped routing graph with the goal
     placements as its start; its fluents are aligned to ``task`` by name.
-    The two frontiers expand alternately until one state is recorded by
-    both, then the backward half is translated into forward actions by
-    re-simulating each edge. Falls out with the usual statuses; a plain
-    forward goal hit also counts as solved.
+    Each side runs on its own pattern databases (see ``patterns``): the
+    forward side's target is the goal, the backward side's the forward
+    initial state. The two frontiers expand alternately until one state
+    is recorded by both, then the backward half is translated into
+    forward actions by re-simulating each edge. Falls out with the usual
+    statuses; a plain forward goal hit also counts as solved.
     """
     module = backend_module(backend)
     started = time.monotonic()
@@ -145,14 +160,20 @@ def solve_bidirectional(
         )
         for a in reverse_task.actions
     ]
+    from .patterns import pattern_tables
+
+    init = sorted(task.init)
+    tables = pattern_tables(task.fluents, init, task.goal_pos, task.goal_neg, task.actions)
+    b_tables = pattern_tables(task.fluents, init_b, init, (), r_actions)
     status, fwd_idx, bwd_idx, cost, expanded, generated = module.greedy(
         len(task.fluents),
-        sorted(task.init),
+        init,
         task.goal_pos,
         task.goal_neg,
         task.actions,
-        backward=(init_b, r_actions),
-        time_limit=time_limit or 0.0,
+        tables,
+        backward=(init_b, r_actions, b_tables),
+        time_limit=_remaining(time_limit, started),
         node_limit=node_limit,
     )
     if status != SOLVED:

@@ -9,6 +9,7 @@ parse, ground and search modules.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -43,11 +44,38 @@ def test_cli_loads_only_the_solve_path(child_pythonpath):
         "prodplan.operations",
         "prodplan.transform",
         "prodplan.planner.external",
+        "prodplan.planner.patterns",
         "concurrent.futures",
         "csv",
     }
     assert sorted(loaded & unused_by_solve) == []
     assert {"prodplan.pddl", "prodplan.planner.grounding", "prodplan.planner.search"} <= loaded
+
+
+def test_commands_that_never_search_never_build_the_kernel(tmp_path, child_pythonpath):
+    from prodplan import build_demo_model, save_production_model
+
+    model = tmp_path / "demo.json"
+    save_production_model(build_demo_model(), model)
+    cache = tmp_path / "cache"
+    code = (
+        "import json, sys\n"
+        "from prodplan.cli import main\n"
+        f"main(['validate', '--model', {str(model)!r}])\n"
+        f"main(['gen-layout', '--pus', '5', '--out', {str(tmp_path / 'ring.json')!r}])\n"
+        "print(json.dumps(list(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, XDG_CACHE_HOME=str(cache)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "prodplan.planner._kernel" not in loaded
+    assert list(cache.rglob("_kernel-*.so")) == []
 
 
 # Every submodule is imported before any public name is looked up: a

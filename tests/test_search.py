@@ -76,12 +76,21 @@ def test_backends_return_identical_plans():
                 for b in BACKENDS
             }
             assert len(outcomes) == 1, (goal_id, mode)
+    greedy_only = [(f"ring {n}", _ring_task(n)) for n in range(5, 14)] + [
+        (f"drilling ring {n}", _ring_task(n, drilling=True)) for n in (5, 6, 7, 8, 9)
+    ]
+    for goal_id, task in greedy_only:
+        outcomes = {_outcome(solve(task, mode="greedy", backend=b)) for b in BACKENDS}
+        assert len(outcomes) == 1, goal_id
+        status, cost, plan, _, _ = outcomes.pop()
+        assert status == "solved", goal_id
+        assert validate_plan(task, plan) == cost, goal_id
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "drilling, cost, steps, expanded, generated",
-    [(False, 630, 63, 1982, 2103), (True, 380, 28, 58, 106)],
+    [(False, 570, 57, 178, 226), (True, 390, 29, 118, 169)],
     ids=["ring-7", "drilling-ring-7"],
 )
 def test_single_frontier_greedy_figures(
@@ -256,15 +265,22 @@ def test_bidirectional_matches_forward_greedy_validity_on_ring(backend):
 
 
 def test_bidirectional_backends_agree_on_ring():
-    for size in (9, 11):
-        task, reverse = _ring_task(size, reverse=True)
+    model = build_demo_model()
+    domain, report = derive_domain(model)
+    cases = [
+        (goal.id, ground(domain, derive_problem(model, goal, report)),
+         ground(domain, derive_reverse_problem(model, goal, report)))
+        for goal in generate_permutation_goals(model)
+    ]
+    cases += [(f"ring {n}", *_ring_task(n, reverse=True)) for n in range(5, 14)]
+    for goal_id, task, reverse in cases:
         outcomes = {
             _outcome(solve_bidirectional(task, reverse, backend=b)) for b in BACKENDS
         }
-        assert len(outcomes) == 1, size
+        assert len(outcomes) == 1, goal_id
         status, cost, plan, _, _ = outcomes.pop()
-        assert status == "solved", size
-        assert validate_plan(task, plan) == cost, size
+        assert status == "solved", goal_id
+        assert validate_plan(task, plan) == cost, goal_id
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
