@@ -49,6 +49,7 @@ CSV_FIELDS = [
     "planCostSeconds",
     "steps",
     "wallTimeMs",
+    "heuristicMs",
     "expanded",
 ]
 
@@ -197,6 +198,7 @@ def _csv_row(model, mode: str, result) -> dict:
         "planCostSeconds": result.cost if result.cost is not None else "",
         "steps": len(result.plan.steps) if result.plan else 0,
         "wallTimeMs": f"{result.wall_time_ms:.1f}",
+        "heuristicMs": f"{result.heuristic_ms:.1f}",
         "expanded": result.expanded,
     }
 

@@ -17,15 +17,20 @@ task alone, in four steps:
    initial state satisfies and drop each one that some action can break
    while all the others hold before it. The two kinds prove each other:
    ``shuttlelocation s x → occupied x`` holds only because two shuttles
-   never share a unit, and the other way round.
+   never share a unit, and the other way round. Each value's
+   implications and mutexes, and each fluent's implying values, are one
+   int bit mask, and a dropped candidate leaves both directions at once.
+   The actions are swept, forward and backward in turn, until a sweep
+   drops nothing; any order reaches the same fixpoint.
 3. **Patterns.** Every pair of multi-valued target variables (a lone one
    is paired with every other multi-valued variable), and each binary
    target paired with each multi-valued variable its achievers require.
 4. **Tables.** An action projected onto a pattern keeps its conditions
    on the pattern's variables; a negative precondition ``¬q`` also
    forbids every pattern value p with ``p → q``; every other condition is
-   dropped. One backward Dijkstra from the target's abstract states
-   fills each table.
+   dropped. Each action is projected once per variable, and the patterns
+   that share the variable share the projection. One backward Dijkstra
+   from the target's abstract states fills each table.
 
 h is the maximum over the tables, so it never exceeds the cost to go,
 and an entry the target cannot be reached from is a proven dead end.
@@ -87,56 +92,110 @@ def _variables(fluents, init: set[int], actions) -> list[tuple[int, ...]]:
     return variables
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(fluents) -> int:
+    mask = 0
+    for f in fluents:
+        mask |= 1 << f
+    return mask
+
+
 def _invariants(variables, init: set[int], actions):
     """Implications value → fluent and mutexes between values of different
     variables: the greatest set of candidates that every action keeps true
     given that all of them hold before it. Returns the implications both
-    ways: (implies, implied_by), dicts of sets of fluents."""
+    ways as bit masks of fluents: (implies, implied_by), dicts keyed by
+    variable value and by needed-false fluent."""
     var_of = {f: v for v, members in enumerate(variables) for f in members}
-    needed_false = set().union(*(a.pre_neg for a in actions))
+    var_mask = [_mask(members) for members in variables]
+    values = _mask(var_of)
+    needed_false = _mask(f for a in actions for f in a.pre_neg)
+    in_init = _mask(init)
     implies = {
-        p: {q for q in needed_false if var_of.get(q) != v and (p not in init or q in init)}
+        p: needed_false & ~var_mask[v] & (in_init if p in init else -1)
         for p, v in var_of.items()
     }
     mutex = {
-        p: {r for r, w in var_of.items() if w != v and not (p in init and r in init)}
+        p: values & ~var_mask[v] & (~in_init if p in init else -1)
         for p, v in var_of.items()
     }
-    implied_by: dict[int, set[int]] = {q: set() for q in needed_false}
-    for p, qs in implies.items():
-        for q in qs:
-            implied_by[q].add(p)
-    siblings = {p: set(variables[v]) - {p} for p, v in var_of.items()}
+    # the same candidates from the fluent's side
+    implied_by = {
+        q: values
+        & ~(var_mask[var_of[q]] if q in var_of else 0)
+        & (-1 if q in init else ~in_init)
+        for q in _bits(needed_false)
+    }
 
+    # per action: the preconditions' values, the needed-false fluents,
+    # what the preconditions alone make true and false (siblings too), the
+    # add mask, the deleted-not-added mask, and the values and fluents
+    # whose candidates it can break
+    checks = []
+    for a in actions:
+        pre = [p for p in a.pre_pos if p in var_of]
+        add = _mask(a.add)
+        gone = _mask(a.delete) & ~add
+        false_before = _mask(a.pre_neg)
+        for p in pre:
+            false_before |= var_mask[var_of[p]] & ~(1 << p)
+        checks.append((
+            pre,
+            a.pre_neg,
+            _mask(a.pre_pos),
+            false_before,
+            add,
+            gone,
+            list(_bits(add & values)),
+            list(_bits(gone & needed_false)),
+        ))
+
+    # Sweep the actions until a sweep drops nothing. Sweeping forward and
+    # backward in turn needs fewer sweeps on the reversed tasks.
     changed = True
     while changed:
         changed = False
-        for a in actions:
+        for pre, pre_neg, true_before, false_before, add, gone, made, unmade in checks:
             # what the preconditions and the current candidates make
             # certainly true and certainly false before the action
-            true_before = set(a.pre_pos).union(*(implies.get(p, ()) for p in a.pre_pos))
-            false_before = set(a.pre_neg).union(
-                *(mutex.get(p, ()) for p in a.pre_pos),
-                *(siblings.get(p, ()) for p in a.pre_pos),
-                *(implied_by[q] for q in a.pre_neg),
-            )
-            add = set(a.add)
-            gone = set(a.delete) - add
-            true_after = add | (true_before - gone)
-            false_after = (gone | false_before) - add
-            broken = []
-            for p in add & var_of.keys():
-                broken += [(p, q) for q in implies[p] - true_after]
-                for r in mutex[p] - false_after:
-                    mutex[p].discard(r)
-                    mutex[r].discard(p)
+            for p in pre:
+                true_before |= implies[p]
+                false_before |= mutex[p]
+            for q in pre_neg:
+                false_before |= implied_by[q]
+            not_true_after = ~(add | (true_before & ~gone))
+            not_false_after = ~((gone | false_before) & ~add)
+            # a broken candidate leaves both directions at once
+            for p in made:
+                keep = ~(1 << p)
+                bad = implies[p] & not_true_after
+                if bad:
+                    implies[p] ^= bad
                     changed = True
-            for q in gone & implied_by.keys():
-                broken += [(p, q) for p in implied_by[q] - false_after]
-            for p, q in broken:
-                implies[p].discard(q)
-                implied_by[q].discard(p)
-                changed = True
+                    for q in _bits(bad):
+                        implied_by[q] &= keep
+                bad = mutex[p] & not_false_after
+                if bad:
+                    mutex[p] ^= bad
+                    changed = True
+                    for r in _bits(bad):
+                        mutex[r] &= keep
+            for q in unmade:
+                bad = implied_by[q] & not_false_after
+                if bad:
+                    implied_by[q] ^= bad
+                    changed = True
+                    keep = ~(1 << q)
+                    for p in _bits(bad):
+                        implies[p] &= keep
+        checks.reverse()
     return implies, implied_by
 
 
@@ -156,44 +215,88 @@ class _Domains:
         return self.slot[f][0]
 
 
-def _projection(action, var_values, forbidden):
-    """(allowed values, new value or None) of one action on one variable."""
-    required = [i for i, f in enumerate(var_values) if f in action.pre_pos]
-    allowed = [i for i in required or range(len(var_values)) if var_values[i] not in forbidden]
-    added = [i for i, f in enumerate(var_values) if f in action.add]
-    if added:
-        return allowed, added[0]
-    if var_values[0] == -1 and var_values[1] in action.delete:
-        return allowed, 0  # a binary variable made false
-    return allowed, None
+class _Projections:
+    """Every action projected onto the pattern variables ``used``. On
+    variable v, action a may start from the values it requires (all if
+    none) that it does not need false, where a negative precondition ¬q
+    also rules out every value p with p → q, and it moves to the value it
+    sets, or stays (None). ``changers[v]`` lists the actions that set v."""
 
+    def __init__(self, actions, domains: _Domains, implied_by, used):
+        self.values = domains.values
+        self.required: list[dict[int, list[int]]] = []
+        self.sets: list[dict[int, int]] = []
+        self.forbidden: list[int] = []
+        self.changers: dict[int, list[int]] = {v: [] for v in used}
+        self.free: dict[tuple[int, int], list[int]] = {}
+        slot = domains.slot
+        for a, action in enumerate(actions):
+            required: dict[int, list[int]] = {}
+            for f in sorted(set(action.pre_pos)):
+                if f in slot:
+                    v, i = slot[f]
+                    required.setdefault(v, []).append(i)
+            # a variable takes at most one added value (see _variables)
+            sets = {slot[f][0]: slot[f][1] for f in action.add if f in slot}
+            for f in action.delete:
+                if f in slot and self.values[slot[f][0]][0] == -1:
+                    sets.setdefault(slot[f][0], 0)  # a binary variable made false
+            forbidden = _mask(action.pre_neg)
+            for q in action.pre_neg:
+                forbidden |= implied_by[q]
+            self.required.append(required)
+            self.sets.append(sets)
+            self.forbidden.append(forbidden)
+            for v in sets:
+                if v in self.changers:
+                    self.changers[v].append(a)
 
-def _table(pattern, domains: _Domains, goal: list, actions, forbidden, changers) -> list[int]:
-    """Cost to the target from each abstract state of the pattern, by a
-    backward Dijkstra; ``goal[k]`` lists the target values of its k-th
-    variable."""
-    values = [domains.values[v] for v in pattern]
-    sizes = [len(vs) for vs in values]
-    strides = [sizes[1], 1] if len(pattern) == 2 else [1]
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(sizes[0] * strides[0])]
-    for a in set().union(*(changers[v] for v in pattern)):
-        action = actions[a]
-        # (source, target) index pairs, one variable at a time
-        edges = [(0, 0)]
-        for vs, stride in zip(values, strides):
-            allowed, effect = _projection(action, vs, forbidden[a])
-            edges = [
-                (s + x * stride, t + (x if effect is None else effect) * stride)
-                for s, t in edges
-                for x in allowed
+    def __call__(self, a: int, v: int) -> tuple[list[int], int | None]:
+        values, forbidden = self.values[v], self.forbidden[a]
+        required = self.required[a].get(v)
+        if required is not None:
+            allowed = [i for i in required if not forbidden >> values[i] & 1]
+            return allowed, self.sets[a].get(v)
+        # the many actions that leave v alone share their lists
+        key = v, forbidden
+        if key not in self.free:
+            self.free[key] = [
+                i for i, f in enumerate(values) if f < 0 or not forbidden >> f & 1
             ]
-        for s, t in edges:
-            if s != t:
-                preds[t].append((s, action.cost))
+        return self.free[key], self.sets[a].get(v)
 
-    targets = [0]
-    for allowed, stride in zip(goal, strides):
-        targets = [s + x * stride for s in targets for x in allowed]
+
+def _table(sizes, goal: list, moves) -> list[int]:
+    """Cost to the target from each abstract state of a pattern over
+    variables of ``sizes``, by a backward Dijkstra; ``goal[k]`` lists the
+    target values of its k-th variable, and ``moves`` holds each
+    changing action's cost and its projection on each variable."""
+    if len(sizes) == 2:
+        stride = sizes[1]
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(sizes[0] * stride)]
+        for cost, (allowed_a, effect_a), (allowed_b, effect_b) in moves:
+            for x in allowed_a:
+                s = x * stride
+                t = s if effect_a is None else effect_a * stride
+                if effect_b is None:
+                    if s != t:
+                        for y in allowed_b:
+                            preds[t + y].append((s + y, cost))
+                else:
+                    t += effect_b
+                    for y in allowed_b:
+                        if s + y != t:
+                            preds[t].append((s + y, cost))
+        targets = [x * stride + y for x in goal[0] for y in goal[1]]
+    else:
+        preds = [[] for _ in range(sizes[0])]
+        for cost, (allowed, effect) in moves:
+            if effect is not None:
+                for x in allowed:
+                    if x != effect:
+                        preds[effect].append((x, cost))
+        targets = list(goal[0])
+
     dist = [DEAD_END] * len(preds)
     for s in targets:
         dist[s] = 0
@@ -231,14 +334,17 @@ def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
             goal[v] = [j for j in goal.get(v, range(len(variables[v]))) if j != i]
     targets = sorted(goal)
     # a binary target that a target value implies is covered by that value
-    covered = set().union(*(implies[variables[v][i]] for v in targets for i in goal[v]))
+    covered = 0
+    for v in targets:
+        for i in goal[v]:
+            covered |= implies[variables[v][i]]
 
     patterns = list(combinations(targets, 2))
     if len(targets) == 1:
         t = targets[0]
         patterns = [(t, v) for v in range(n_multi) if v != t] or [(t,)]
     for f, value in [(f, 1) for f in goal_pos] + [(f, 0) for f in goal_neg]:
-        if f in domains.slot and domains.slot[f][0] < n_multi or f in covered:
+        if f in domains.slot and domains.slot[f][0] < n_multi or covered >> f & 1:
             continue
         b = domains.binary(f)
         goal[b] = [value]
@@ -249,16 +355,11 @@ def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
         )
         patterns += [(b, v) for v in needed if v < n_multi] or [(b,)]
 
-    changers: dict[int, set[int]] = {v: set() for p in patterns for v in p}
-    forbidden = []
-    for a, action in enumerate(actions):
-        for f in (*action.add, *action.delete):
-            if f in domains.slot and domains.slot[f][0] in changers:
-                changers[domains.slot[f][0]].add(a)
-        forbidden.append(set(action.pre_neg).union(*(implied_by[q] for q in action.pre_neg)))
+    used = sorted({v for pattern in patterns for v in pattern})
+    projection = _Projections(actions, domains, implied_by, used)
 
     # number the variables the patterns use, and lay the tables end to end
-    number = {v: k for k, v in enumerate(sorted(changers))}
+    number = {v: k for k, v in enumerate(used)}
     var_of = [-1] * len(fluents)
     value_of = [0] * len(fluents)
     for v, k in number.items():
@@ -268,11 +369,14 @@ def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
     flat: list[int] = []
     layout = []
     for pattern in patterns:
-        full_goal = [goal.get(v, range(len(domains.values[v]))) for v in pattern]
-        entries = _table(pattern, domains, full_goal, actions, forbidden, changers)
+        sizes = [len(domains.values[v]) for v in pattern]
+        full_goal = [goal.get(v, range(size)) for v, size in zip(pattern, sizes)]
+        changers = set().union(*(projection.changers[v] for v in pattern))
+        moves = [(actions[a].cost, *(projection(a, v) for v in pattern)) for a in changers]
+        entries = _table(sizes, full_goal, moves)
         a = number[pattern[0]]
         if len(pattern) == 2:
-            layout.append((len(flat), a, len(domains.values[pattern[1]]), number[pattern[1]], 1))
+            layout.append((len(flat), a, sizes[1], number[pattern[1]], 1))
         else:
             layout.append((len(flat), a, 1, a, 0))
         flat += entries

@@ -39,23 +39,31 @@ class SearchResult:
     generated: int
     wall_time_ms: float
     backend: str
+    # wall time of building the greedy heuristic's tables, within wall_time_ms
+    heuristic_ms: float = 0.0
 
     @property
     def solved(self) -> bool:
         return self.status == "solved"
 
 
-def _result(task, module, started, status, steps=(), cost=0, expanded=0, generated=0):
+def _result(
+    task, module, started, status, steps=(), cost=0, expanded=0, generated=0, heuristic_ms=0.0
+):
     """The SearchResult of one search; ``steps`` index ``task.actions``."""
     wall = (time.monotonic() - started) * 1000.0
     if status != SOLVED:
         name = STATUS_NAMES[status]
-        return SearchResult(name, None, None, expanded, generated, wall, module.NAME)
+        return SearchResult(
+            name, None, None, expanded, generated, wall, module.NAME, heuristic_ms
+        )
     plan = Plan(
         steps=tuple(PlanStep(task.actions[i].name, task.actions[i].args) for i in steps),
         cost=cost,
     )
-    return SearchResult("solved", plan, cost, expanded, generated, wall, module.NAME)
+    return SearchResult(
+        "solved", plan, cost, expanded, generated, wall, module.NAME, heuristic_ms
+    )
 
 
 def solve(
@@ -79,17 +87,20 @@ def solve(
     args = (
         len(task.fluents), sorted(task.init), task.goal_pos, task.goal_neg, task.actions
     )
+    heuristic_ms = 0.0
     if mode == "greedy":
         from .patterns import pattern_tables
 
+        building = time.monotonic()
         tables = pattern_tables(task.fluents, *args[1:])
+        heuristic_ms = (time.monotonic() - building) * 1000.0
         limits = {"time_limit": _remaining(time_limit, started), "node_limit": node_limit}
         status, steps, _, cost, *counts = module.greedy(*args, tables, **limits)
     else:
         limits = {"time_limit": time_limit or 0.0, "node_limit": node_limit}
         h = H_BLIND if heuristic == "blind" else H_MAX
         status, steps, cost, *counts = module.astar(*args, heuristic=h, **limits)
-    return _result(task, module, started, status, steps, cost, *counts)
+    return _result(task, module, started, status, steps, cost, *counts, heuristic_ms)
 
 
 def _remaining(time_limit, started) -> float:
@@ -110,29 +121,10 @@ def _applies(action, state: frozenset) -> bool:
     )
 
 
-def solve_bidirectional(
-    task: GroundTask,
-    reverse_task: GroundTask,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
-    node_limit: int = BIDIRECTIONAL_NODE_LIMIT,
-    backend: str | None = None,
-) -> SearchResult:
-    """Greedy search from both ends of a movement problem.
-
-    ``reverse_task`` grounds the flipped routing graph with the goal
-    placements as its start; its fluents are aligned to ``task`` by name.
-    Each side runs on its own pattern databases (see ``patterns``): the
-    forward side's target is the goal, the backward side's the forward
-    initial state. The two frontiers expand alternately until one state
-    is recorded by both, then the backward half is translated into
-    forward actions by re-simulating each edge. Falls out with the usual
-    statuses; a plain forward goal hit also counts as solved.
-    """
-    module = backend_module(backend)
-    started = time.monotonic()
-    if task.goal_statically_false:
-        return _result(task, module, started, UNSOLVABLE)
-
+def _backward_input(task: GroundTask, reverse_task: GroundTask):
+    """The backward side of ``solve_bidirectional``: the reverse task's
+    start state and actions with their fluents renumbered to ``task``'s,
+    as (sorted init, actions)."""
     if set(task.fluents) != set(reverse_task.fluents):
         raise GroundingError(
             "reverse task covers a different fluent set than the forward task"
@@ -160,11 +152,40 @@ def solve_bidirectional(
         )
         for a in reverse_task.actions
     ]
+    return init_b, r_actions
+
+
+def solve_bidirectional(
+    task: GroundTask,
+    reverse_task: GroundTask,
+    time_limit: float | None = DEFAULT_TIME_LIMIT,
+    node_limit: int = BIDIRECTIONAL_NODE_LIMIT,
+    backend: str | None = None,
+) -> SearchResult:
+    """Greedy search from both ends of a movement problem.
+
+    ``reverse_task`` grounds the flipped routing graph with the goal
+    placements as its start; its fluents are aligned to ``task`` by name.
+    Each side runs on its own pattern databases (see ``patterns``): the
+    forward side's target is the goal, the backward side's the forward
+    initial state. The two frontiers expand alternately until one state
+    is recorded by both, then the backward half is translated into
+    forward actions by re-simulating each edge. Falls out with the usual
+    statuses; a plain forward goal hit also counts as solved.
+    """
+    module = backend_module(backend)
+    started = time.monotonic()
+    if task.goal_statically_false:
+        return _result(task, module, started, UNSOLVABLE)
+
+    init_b, r_actions = _backward_input(task, reverse_task)
     from .patterns import pattern_tables
 
     init = sorted(task.init)
+    building = time.monotonic()
     tables = pattern_tables(task.fluents, init, task.goal_pos, task.goal_neg, task.actions)
     b_tables = pattern_tables(task.fluents, init_b, init, (), r_actions)
+    heuristic_ms = (time.monotonic() - building) * 1000.0
     status, fwd_idx, bwd_idx, cost, expanded, generated = module.greedy(
         len(task.fluents),
         init,
@@ -176,8 +197,9 @@ def solve_bidirectional(
         time_limit=_remaining(time_limit, started),
         node_limit=node_limit,
     )
+    outcome = (cost, expanded, generated, heuristic_ms)
     if status != SOLVED:
-        return _result(task, module, started, status, (), cost, expanded, generated)
+        return _result(task, module, started, status, (), *outcome)
 
     state = frozenset(task.init)
     for i in fwd_idx:
@@ -199,7 +221,7 @@ def solve_bidirectional(
         else:
             raise GroundingError("backward step has no forward counterpart")
 
-    return _result(task, module, started, SOLVED, spliced, cost, expanded, generated)
+    return _result(task, module, started, SOLVED, spliced, *outcome)
 
 
 def validate_plan(task: GroundTask, plan: Plan) -> int:

@@ -276,6 +276,7 @@ def test_permutations_sweep(demo_files, tmp_path, capsys):
         "planCostSeconds",
         "steps",
         "wallTimeMs",
+        "heuristicMs",
         "expanded",
     }
     assert all(row["status"] == "solved" for row in rows)
@@ -393,6 +394,7 @@ def test_bench_csv(tmp_path, capsys):
     assert row["status"] == "solved"
     assert row["mode"] == "optimal"
     assert int(row["steps"]) > 0
+    assert float(row["heuristicMs"]) == 0.0  # A* builds no tables
 
     greedy_csv = tmp_path / "greedy.csv"
     assert (
@@ -402,6 +404,7 @@ def test_bench_csv(tmp_path, capsys):
     with open(greedy_csv, newline="") as handle:
         (row,) = list(csv.DictReader(handle))
     assert row["status"] == "solved" and row["mode"] == "greedy"
+    assert 0 < float(row["heuristicMs"]) <= float(row["wallTimeMs"])
 
 
 def test_bench_drilling(tmp_path):

@@ -58,6 +58,7 @@ def test_successful_solver_run(tmp_path, demo_texts, demo_task):
     )
     assert result.status == "solved"
     assert result.backend == "external"
+    assert result.heuristic_ms == 0.0  # the solver's own time is not split
     assert result.cost == 50
     assert validate_plan(demo_task, result.plan) == 50
     # inputs were materialized for the solver

@@ -146,7 +146,7 @@ def test_ring_variables_are_shuttle_positions_that_occupy_their_unit(size):
     implies, _ = _invariants(variables, init, task.actions)
     for members in positions.values():
         for p in members:
-            assert occupied[atoms[p][2]] in implies[p], task.fluents[p]
+            assert implies[p] >> occupied[atoms[p][2]] & 1, task.fluents[p]
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -264,6 +264,21 @@ def test_bidirectional_matches_forward_greedy_validity_on_ring(backend):
     assert validate_plan(task, result.plan) == result.cost
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_heuristic_ms_is_the_table_build_of_greedy_search(backend):
+    task, reverse = _ring_task(5, reverse=True)
+    for result in (
+        solve(task, mode="greedy", backend=backend),
+        solve_bidirectional(task, reverse, backend=backend),
+    ):
+        assert result.status == "solved"
+        assert 0 < result.heuristic_ms <= result.wall_time_ms
+    for heuristic in ("blind", "hmax"):
+        result = solve(task, mode="optimal", heuristic=heuristic, backend=backend)
+        assert result.status == "solved"
+        assert result.heuristic_ms == 0.0
+
+
 def test_bidirectional_backends_agree_on_ring():
     model = build_demo_model()
     domain, report = derive_domain(model)
