@@ -245,9 +245,6 @@ class RoutingGraph:
     edges: tuple[tuple[str, str], ...]
     shuttle_at: dict[str, str] = field(default_factory=dict)
 
-    def successors(self, pu_id: str) -> tuple[str, ...]:
-        return tuple(t for f, t in self.edges if f == pu_id)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -367,9 +367,13 @@ def goal_from_dict(data: dict) -> GoalSpec:
     def pairs(key: str) -> tuple[tuple[str, str], ...]:
         out = []
         for entry in _want(data, key, list, gid, default=[]):
-            if not isinstance(entry, list) or len(entry) != 2:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(isinstance(i, str) for i in entry)
+            ):
                 raise ParseError(f"{gid}: {key} entries must be [id, id] pairs")
-            out.append((str(entry[0]), str(entry[1])))
+            out.append(tuple(entry))
         return tuple(out)
 
     locations = _want(data, "shuttleLocations", dict, gid, default={})

@@ -43,6 +43,7 @@ def _mask(indices) -> int:
 
 
 def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from ._pysearch import DEAD_END
+from ._pysearch import DEAD_END, _bits, _mask
 from .grounding import fluent_atom
 
 
@@ -90,21 +90,6 @@ def _variables(fluents, init: set[int], actions) -> list[tuple[int, ...]]:
             variables.append(tuple(members))
             taken |= group
     return variables
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask(fluents) -> int:
-    mask = 0
-    for f in fluents:
-        mask |= 1 << f
-    return mask
 
 
 def _invariants(variables, init: set[int], actions):

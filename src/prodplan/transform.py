@@ -19,7 +19,7 @@ Two segment parameters trigger extra rules:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DanglingReference, MissingRole, NonBooleanProperty, TransformError
 from .model import (
@@ -56,24 +56,22 @@ DRILLING_PARAMETER = "drilling"
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformReport:
-    """Name maps for walking plan text back to model elements."""
+    """Name maps for walking plan text back to model elements.
 
-    domain_name: str = DOMAIN_NAME
-    movement_used: bool = False
-    drilling_used: bool = False
-    material_used: bool = False
-    segment_by_action: dict[str, str] = field(default_factory=dict)
-    element_by_object: dict[str, str] = field(default_factory=dict)
-    object_by_element: dict[str, str] = field(default_factory=dict)
-    spec_ids_by_segment: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    cost_by_segment: dict[str, int] = field(default_factory=dict)
+    ``derive_domain`` returns it complete, object names included, and it
+    is read-only from then on: problem derivation only reads it, and a plan
+    lifts back through it without any problem being derived first.
+    """
 
-    def register_object(self, pddl_name: str, element_id: str) -> str:
-        self.element_by_object[pddl_name.lower()] = element_id
-        self.object_by_element[element_id] = pddl_name
-        return pddl_name
+    movement_used: bool
+    drilling_used: bool
+    segment_by_action: dict[str, str]
+    element_by_object: dict[str, str]
+    object_by_element: dict[str, str]
+    spec_ids_by_segment: dict[str, tuple[str, ...]]
+    cost_by_segment: dict[str, int]
 
 
 def _mangle(prefix: str, element_id: str) -> str:
@@ -83,6 +81,22 @@ def _mangle(prefix: str, element_id: str) -> str:
             f"id {element_id!r} does not form a valid PDDL name ({name!r})"
         )
     return name
+
+
+def _rule(segment, parameter: str) -> bool:
+    value = segment.parameter(parameter)
+    return value is not None and value.lower() == "true"
+
+
+def _problem_objects(model: ProductionModel):
+    """Every problem object once, as (PDDL name, element id, type)."""
+    for equip in model.equipment:
+        yield _mangle("E_", equip.id), equip.id, "Equipment"
+    for equip in model.equipment:
+        for prop in equip.properties:
+            yield _mangle("EP_", prop.id), prop.id, "EquipmentProperty"
+    for lot in model.material_lots:
+        yield _mangle("M_", lot.id), lot.id, "MaterialLot"
 
 
 def _role(segment, specs_by_upper: dict, role: str, rule: str):
@@ -106,7 +120,9 @@ def _wrap_and(items: list[Expr]) -> Expr | None:
 class _DomainBuilder:
     def __init__(self, model: ProductionModel):
         self.model = model
-        self.report = TransformReport()
+        segments = model.process_segments
+        self.movement_used = any(_rule(s, MOVEMENT_PARAMETER) for s in segments)
+        self.drilling_used = any(_rule(s, DRILLING_PARAMETER) for s in segments)
         self.class_properties = {
             p.id: p for c in model.equipment_classes for p in c.properties
         }
@@ -116,7 +132,6 @@ class _DomainBuilder:
             for p in c.properties
             if p.implicit
         ]
-        self.report.material_used = model.has_material
 
     # -- constraint helpers -------------------------------------------------
 
@@ -200,12 +215,7 @@ class _DomainBuilder:
         ]
 
     def _segment_action(self, segment) -> PddlAction:
-        report = self.report
         specs_by_upper = {s.id.upper(): s for s in segment.equipment_specs}
-        movement = segment.parameter(MOVEMENT_PARAMETER)
-        drilling = segment.parameter(DRILLING_PARAMETER)
-        moves = movement is not None and movement.lower() == "true"
-        drills = drilling is not None and drilling.lower() == "true"
 
         parameters = [
             TypedName(f"?{s.id}", "Equipment") for s in segment.equipment_specs
@@ -247,8 +257,7 @@ class _DomainBuilder:
                 elif con.tag == POST_TAG:
                     effs.append(literal)
 
-        if moves:
-            report.movement_used = True
+        if _rule(segment, MOVEMENT_PARAMETER):
             shuttle = _role(segment, specs_by_upper, "SHUTTLE", MOVEMENT_PARAMETER)
             source = _role(segment, specs_by_upper, "FROM", MOVEMENT_PARAMETER)
             target = _role(segment, specs_by_upper, "TO", MOVEMENT_PARAMETER)
@@ -263,8 +272,7 @@ class _DomainBuilder:
                 Not(Atom("ShuttleLocation", (f"?{shuttle.id}", f"?{source.id}")))
             )
             effs.append(Atom("ShuttleLocation", (f"?{shuttle.id}", f"?{target.id}")))
-        if drills:
-            report.drilling_used = True
+        if _rule(segment, DRILLING_PARAMETER):
             robot = _role(segment, specs_by_upper, "ROBOT", DRILLING_PARAMETER)
             shuttle = _role(segment, specs_by_upper, "SHUTTLE", DRILLING_PARAMETER)
             unit = _role(segment, specs_by_upper, "PU", DRILLING_PARAMETER)
@@ -286,12 +294,6 @@ class _DomainBuilder:
             )
 
         effs.append(Increase(TOTAL_COST, segment.duration.seconds()))
-
-        report.segment_by_action[segment.id.lower()] = segment.id
-        report.spec_ids_by_segment[segment.id] = tuple(
-            s.id for s in segment.equipment_specs
-        ) + tuple(s.id for s in segment.material_specs)
-        report.cost_by_segment[segment.id] = segment.duration.seconds()
         return PddlAction(
             name=segment.id,
             parameters=tuple(parameters),
@@ -303,7 +305,6 @@ class _DomainBuilder:
 
     def build(self) -> PddlDomain:
         model = self.model
-        report = self.report
         actions = self._set_actions()
         actions += [self._segment_action(s) for s in model.process_segments]
 
@@ -349,14 +350,14 @@ class _DomainBuilder:
             ),
             Predicate("EquipmentPropertyTrue", (TypedName("?P", "EquipmentProperty"),)),
         ]
-        if report.movement_used or report.drilling_used:
+        if self.movement_used or self.drilling_used:
             predicates.append(
                 Predicate(
                     "ShuttleLocation",
                     (TypedName("?S", "Equipment"), TypedName("?PU", "Equipment")),
                 )
             )
-        if report.movement_used:
+        if self.movement_used:
             predicates.insert(
                 len(predicates) - 1,
                 Predicate(
@@ -377,7 +378,7 @@ class _DomainBuilder:
                     (TypedName("?M", "MaterialLot"), TypedName("?E", "Equipment")),
                 )
             )
-        if report.drilling_used:
+        if self.drilling_used:
             predicates.append(
                 Predicate(
                     "PositioningUnitWithinReach",
@@ -430,10 +431,25 @@ class _DomainBuilder:
 
 
 def derive_domain(model: ProductionModel) -> tuple[PddlDomain, TransformReport]:
-    """Domain description plus the name maps needed to read plans back."""
+    """Domain description plus the complete report needed to read plans
+    back; problem derivation and plan lifting only read the report."""
     builder = _DomainBuilder(model)
     domain = builder.build()
-    return domain, builder.report
+    objects = [(name, element_id) for name, element_id, _ in _problem_objects(model)]
+    segments = model.process_segments
+    report = TransformReport(
+        movement_used=builder.movement_used,
+        drilling_used=builder.drilling_used,
+        segment_by_action={s.id.lower(): s.id for s in segments},
+        element_by_object={name.lower(): element_id for name, element_id in objects},
+        object_by_element={element_id: name for name, element_id in objects},
+        spec_ids_by_segment={
+            s.id: tuple(spec.id for spec in s.equipment_specs + s.material_specs)
+            for s in segments
+        },
+        cost_by_segment={s.id: s.duration.seconds() for s in segments},
+    )
+    return domain, report
 
 
 def _assemble_problem(
@@ -448,24 +464,9 @@ def _assemble_problem(
     """Shared problem skeleton; forward and reverse derivations differ only
     in property truth values, routing edge direction, shuttle placements
     and the goal condition."""
-    objects = []
-    for equip in model.equipment:
-        objects.append(
-            TypedName(report.register_object(_mangle("E_", equip.id), equip.id), "Equipment")
-        )
-    for equip in model.equipment:
-        for prop in equip.properties:
-            objects.append(
-                TypedName(
-                    report.register_object(_mangle("EP_", prop.id), prop.id),
-                    "EquipmentProperty",
-                )
-            )
-    for lot in model.material_lots:
-        objects.append(
-            TypedName(report.register_object(_mangle("M_", lot.id), lot.id), "MaterialLot")
-        )
-
+    objects = tuple(
+        TypedName(name, type_) for name, _, type_ in _problem_objects(model)
+    )
     init: list[Atom | NumericInit] = []
     for equip in model.equipment:
         for cid in equip.class_ids:
@@ -533,8 +534,8 @@ def _assemble_problem(
 
     return PddlProblem(
         name=name,
-        domain_name=report.domain_name,
-        objects=tuple(objects),
+        domain_name=DOMAIN_NAME,
+        objects=objects,
         init=tuple(init),
         goal=And(tuple(goal_items)),
         minimize=TOTAL_COST,
@@ -606,8 +607,7 @@ def _movement_occupancy_ids(model: ProductionModel) -> set[str] | None:
     """
     occupancy: set[str] = set()
     for segment in model.process_segments:
-        movement = segment.parameter(MOVEMENT_PARAMETER)
-        if movement is None or movement.lower() != "true":
+        if not _rule(segment, MOVEMENT_PARAMETER):
             return None
         if segment.material_specs:
             return None

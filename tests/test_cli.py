@@ -47,6 +47,22 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     assert "Nope" in capsys.readouterr().err
 
 
+def test_validate_derives_like_pipeline(demo_files, tmp_path, capsys):
+    # a model that loads but places Shuttle-01 at no positioning unit
+    data = json.loads(demo_files[0].read_text())
+    for conn in data["resourceNetworks"][0]["connections"]:
+        if conn["connectionType"] == "Shuttle-Connection" and conn["fromId"] == "Shuttle-01":
+            conn["coordinates"] = [99.0, 99.0, 0.0]
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps(data))
+    assert main(["validate", "--model", str(off)]) == 1
+    err = capsys.readouterr().err
+    assert "error: shuttle Shuttle-01 is not located at any positioning unit" in err
+    args = ["pipeline", "--model", str(off), "--goal", str(demo_files[1])]
+    assert main(args + ["--out", str(tmp_path / "run")]) == 1
+    assert err == capsys.readouterr().err
+
+
 def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

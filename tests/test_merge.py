@@ -12,6 +12,8 @@ from prodplan.errors import (
 )
 from prodplan.operations import merge, operations_to_plan, plan_to_operations, unsolvable_record
 from prodplan.model_io import (
+    generate_drill_goal,
+    generate_ring_layout,
     load_integrated_model,
     record_from_dict,
     record_to_dict,
@@ -58,6 +60,24 @@ def test_operations_round_trip_to_plan(solved):
     assert [s.args for s in rebuilt.steps] == [
         tuple(a.lower() for a in s.args) for s in result.plan.steps
     ]
+
+
+@pytest.mark.parametrize("case", ["demo-goal-2341", "drilling-ring-7"])
+def test_plan_lifts_with_a_fresh_domain_report(case):
+    # the flat-file route: plan elsewhere, lift with only derive_domain's report
+    if case == "demo-goal-2341":
+        model, goal = build_demo_model(), demo_goal_2341()
+    else:
+        model = generate_ring_layout(7, 0.65, with_robot_and_boards=True)
+        goal = generate_drill_goal(model)
+    domain, report = derive_domain(model)
+    result = solve(ground(domain, derive_problem(model, goal, report)))
+    record = plan_to_operations(result.plan, report, goal.id)
+    plan = operations_to_plan(record, report)
+
+    _, fresh = derive_domain(model)
+    assert plan_to_operations(result.plan, fresh, goal.id) == record
+    assert operations_to_plan(record, fresh) == plan
 
 
 def test_record_dict_round_trip(solved):

@@ -65,6 +65,15 @@ def test_model_from_dict_type_errors():
         model_from_dict({"equipment": [{"id": "E", "classIds": [3]}]})
 
 
+@pytest.mark.parametrize("entry", [[1, 2], ["Board-01", None]])
+def test_goal_pairs_must_be_string_ids(entry):
+    data = {"id": "g", "materialPropertiesTrue": [entry]}
+    with pytest.raises(
+        ParseError, match=r"^g: materialPropertiesTrue entries must be \[id, id\] pairs$"
+    ):
+        goal_from_dict(data)
+
+
 def test_tags_parsed_from_description():
     data = {
         "equipmentClasses": [

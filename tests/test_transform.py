@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import pytest
 
 from prodplan.demo import build_demo_model, demo_goal_2341
@@ -140,7 +143,7 @@ def test_move_action_structure(demo_domain):
 def test_drilling_domain_adds_material_vocabulary():
     model = generate_ring_layout(5, 0.65, with_robot_and_boards=True)
     domain, report = derive_domain(model)
-    assert report.drilling_used and report.material_used
+    assert report.drilling_used
     assert [t.name for t in domain.types][-2:] == ["MaterialLot", "MaterialProperty"]
     names = {p.name for p in domain.predicates}
     assert {
@@ -241,6 +244,19 @@ def test_property_goal_compiles_to_property_atoms(demo_model, demo_domain):
     )
 
 
+def test_problem_derivation_only_reads_the_report(demo_model):
+    _, report = derive_domain(demo_model)
+    before = copy.deepcopy(report)
+    goal = demo_goal_2341()
+    derive_problem(demo_model, goal, report)
+    assert report == before
+    assert derive_reverse_problem(demo_model, goal, report) is not None
+    assert report == before
+    assert report.object_by_element["Shuttle-01"] == "E_Shuttle-01"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.movement_used = False
+
+
 def test_transform_error_cases(demo_model):
     data = model_to_dict(demo_model)
 
@@ -272,6 +288,13 @@ def test_transform_error_cases(demo_model):
     broken["equipmentClasses"][2]["id"] = "bad id"
     with pytest.raises(TransformError):
         derive_domain(model_from_dict(broken))
+    # object names too: the domain's report names every problem object
+    boxed = {
+        "equipmentClasses": [{"id": "Box", "properties": []}],
+        "equipment": [{"id": "bad id", "classIds": ["Box"]}],
+    }
+    with pytest.raises(TransformError):
+        derive_domain(model_from_dict(boxed))
 
     # shuttle goals need a movement segment
     still = model_to_dict(demo_model)
