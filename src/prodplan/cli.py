@@ -228,8 +228,12 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # One chunk per worker: a chunk is pickled once, so each worker
+        # unpickles one domain object for all its goals and grounds the
+        # goal-independent half once (see planner.grounding.ground).
+        chunk = max(1, -(-len(goals) // parallel))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_plan, *jobs))
+            results = list(pool.map(_plan, *jobs, chunksize=chunk))
     else:
         results = map(_plan, *jobs)
 

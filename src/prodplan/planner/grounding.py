@@ -25,11 +25,25 @@ Values are tried in the order of their type's domain, so the surviving
 bindings come out in the order of the full product of the parameter
 domains, and the task (fluent order, action order, costs) is the one
 that enumerating and filtering that product would give.
+
+All of that depends on the domain and on the problem's objects and init,
+not on its goal. ``ground`` keeps that goal-independent half of its last
+call, keyed by the domain object itself (held weakly, so the entry goes
+when the caller drops the domain) and by the problem's domain name,
+objects and init compared by value. A call with the same domain object
+and an equal key grounds only the goal, with all its checks; when the
+goal names no fluent outside the goal-free task, the task shares that
+task's fluents, init and actions. Many goals against one model, such as
+the 23 demo permutations, so pay the full cost once: on the demo a miss
+takes about 2 ms and a hit under 0.1 ms (2-core Xeon, Python 3.11).
+Greedy planning from a model grounds the goal's reverse problem too,
+whose init differs, so it replaces the entry and the next goal misses.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,14 +251,19 @@ class _EffectPart:
 
 
 class _Grounder:
+    """The goal-independent half of grounding a domain against a problem's
+    objects and init: the checks, the static facts, the compiled schemas
+    and the deduplicated raw ground actions, with the fluents and actions
+    of the task when the goal names no other fluent. ``task``
+    grounds one goal against it and writes only to the idempotent memos
+    ``_type_cache`` and ``_indexes``, so one instance serves many goals."""
+
     def __init__(self, domain: PddlDomain, problem: PddlProblem):
         if problem.domain_name.lower() != domain.name.lower():
             raise GroundingError(
                 f"problem is for domain {problem.domain_name!r}, "
                 f"got {domain.name!r}"
             )
-        self.domain = domain
-        self.problem = problem
 
         parents = {"object": None}
         for t in domain.types:
@@ -276,7 +295,9 @@ class _Grounder:
         self.static_preds = set(self.arity) - effect_preds
 
         self.static_true: set[tuple[str, ...]] = set()
-        self.fluent_init: list[str] = []
+        # fluents are numbered in order of first mention: init, then the
+        # effects of each raw action, then (in ``task``) the goal
+        self.fluent_index: dict[str, int] = {}
         for item in problem.init:
             if isinstance(item, NumericInit):
                 if item.value != 0:
@@ -290,8 +311,23 @@ class _Grounder:
                 self.static_true.add(literal.fact(slots.template))
             else:
                 ground = literal.fluent(slots.template)
-                if ground not in self.fluent_init:
-                    self.fluent_init.append(ground)
+                self.fluent_index.setdefault(ground, len(self.fluent_index))
+        self.init = frozenset(range(len(self.fluent_index)))
+
+        self.raw = []
+        seen = set()
+        for action in domain.actions:
+            for entry in self._ground_action(action):
+                key = (entry[0], entry[1], frozenset(entry[2]), frozenset(entry[3]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                self.raw.append(entry)
+
+        for entry in self.raw:
+            for ground in sorted(entry[4]) + sorted(entry[5]):
+                self.fluent_index.setdefault(ground, len(self.fluent_index))
+        self.goal_free = self._assemble(self.fluent_index)
 
     # -- small helpers ------------------------------------------------------
 
@@ -574,82 +610,92 @@ class _Grounder:
                     continue
                 yield (name, combo, vpos, vneg, add, delete, cost)
 
-    def _ground_goal(self):
+    def _ground_goal(self, goal: Expr | None):
         slots = _Slots()
-        cond = self._compile_condition(self.problem.goal, [], {}, slots)
+        cond = self._compile_condition(goal, [], {}, slots)
         vals = list(slots.template)
         # no variables to bind: one binding if the static atoms hold, else none
         for _ in cond.join.bindings(vals):
             return self._eval_condition(cond, vals)
         return None
 
-    def build(self) -> GroundTask:
-        raw = []
-        seen = set()
-        for action in self.domain.actions:
-            for entry in self._ground_action(action):
-                key = (entry[0], entry[1], frozenset(entry[2]), frozenset(entry[3]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                raw.append(entry)
+    def _assemble(self, index: dict[str, int]):
+        """The fluents and actions of the task whose fluents are
+        ``index``; an action that requires a fluent outside it is dropped,
+        since nothing can ever make that fluent true."""
+        actions = []
+        for name, args, vpos, vneg, add, delete, cost in self.raw:
+            if any(g not in index for g in vpos):
+                continue
+            actions.append(
+                GroundAction(
+                    name=name,
+                    args=tuple(args),
+                    pre_pos=tuple(sorted(index[g] for g in vpos)),
+                    pre_neg=tuple(sorted(index[g] for g in vneg if g in index)),
+                    add=tuple(sorted(index[g] for g in add)),
+                    delete=tuple(sorted(index[g] for g in delete)),
+                    cost=cost,
+                )
+            )
+        return tuple(index), tuple(actions)
 
-        goal = self._ground_goal()
-        goal_false = goal is None
+    def task(self, goal: Expr | None) -> GroundTask:
+        grounded = self._ground_goal(goal)
         goal_pos: set[str] = set()
         goal_neg: set[str] = set()
-        if goal is not None:
-            goal_pos, goal_neg, groups = goal
+        if grounded is not None:
+            goal_pos, goal_neg, groups = grounded
             for group in groups:
                 if len(group) > 1:
                     raise UnsupportedFeature("disjunctive goals are not supported")
                 goal_pos |= set(group[0][0])
                 goal_neg |= set(group[0][1])
 
-        index: dict[str, int] = {}
-
-        def intern(ground: str) -> int:
-            if ground not in index:
-                index[ground] = len(index)
-            return index[ground]
-
-        for ground in self.fluent_init:
-            intern(ground)
-        for entry in raw:
-            for ground in sorted(entry[4]) + sorted(entry[5]):
-                intern(ground)
-        for ground in sorted(goal_pos) + sorted(goal_neg):
-            intern(ground)
-
-        known = set(index)
-        actions = []
-        for name, args, vpos, vneg, add, delete, cost in raw:
-            if any(g not in known for g in vpos):
-                continue  # requires a fluent nothing can ever make true
-            actions.append(
-                GroundAction(
-                    name=name,
-                    args=tuple(args),
-                    pre_pos=tuple(sorted(index[g] for g in vpos)),
-                    pre_neg=tuple(sorted(index[g] for g in vneg if g in known)),
-                    add=tuple(sorted(index[g] for g in add)),
-                    delete=tuple(sorted(index[g] for g in delete)),
-                    cost=cost,
-                )
-            )
-
-        fluents = tuple(sorted(index, key=index.get))
+        index = self.fluent_index
+        fluents, actions = self.goal_free
+        if not index.keys() >= goal_pos | goal_neg:
+            index = dict(index)
+            for ground in sorted(goal_pos) + sorted(goal_neg):
+                index.setdefault(ground, len(index))
+            fluents, actions = self._assemble(index)
         return GroundTask(
             fluents=fluents,
-            init=frozenset(index[g] for g in self.fluent_init),
+            init=self.init,
             goal_pos=tuple(sorted(index[g] for g in goal_pos)),
             goal_neg=tuple(sorted(index[g] for g in goal_neg)),
-            actions=tuple(actions),
-            goal_statically_false=goal_false,
+            actions=actions,
+            goal_statically_false=grounded is None,
         )
+
+
+# The goal-independent half of the last grounding, as (a weak reference to
+# its domain, the (domain name, objects, init) of its problem, _Grounder).
+# The reference is weak so that the entry never keeps a domain alive: when
+# the caller drops the domain, ``_forget`` drops the entry with it.
+_last = None
+
+
+def _forget(ref) -> None:
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
 
 
 def ground(domain: PddlDomain, problem: PddlProblem) -> GroundTask:
     """Propositional task for the pair; raises GroundingError subclasses
-    for binding problems and UnsupportedFeature outside the subset."""
-    return _Grounder(domain, problem).build()
+    for binding problems and UnsupportedFeature outside the subset.
+
+    The goal-independent half is reused from the previous call when that
+    call passed this same domain object and a problem with equal domain
+    name, objects and init; only the goal is then grounded afresh. A
+    grounding that raises is not kept."""
+    global _last
+    key = (problem.domain_name, problem.objects, problem.init)
+    last = _last
+    if last is not None and last[0]() is domain and last[1] == key:
+        return last[2].task(problem.goal)
+    grounder = _Grounder(domain, problem)
+    task = grounder.task(problem.goal)
+    _last = (weakref.ref(domain, _forget), key, grounder)
+    return task

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from prodplan.demo import build_demo_model, demo_goal_2341
@@ -9,7 +13,9 @@ from prodplan.errors import (
     UnboundVariable,
     UnsupportedFeature,
 )
+from prodplan.model_io import generate_permutation_goals
 from prodplan.pddl import parse_domain, parse_problem
+from prodplan.planner import grounding
 from prodplan.planner.grounding import ground
 from prodplan.transform import derive_domain, derive_problem
 
@@ -293,3 +299,96 @@ def test_schema_errors_raised_without_surviving_bindings(bad_atom, dead):
     )
     with pytest.raises(GroundingError):
         ground(domain, problem)
+
+
+# -- reuse of the goal-independent half across goals ---------------------------
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The problem names of the _Grounder instances built while the test runs."""
+    built = []
+
+    class Counting(grounding._Grounder):
+        def __init__(self, domain, problem):
+            built.append(problem.name)
+            super().__init__(domain, problem)
+
+    monkeypatch.setattr(grounding, "_Grounder", Counting)
+    return built
+
+
+def test_demo_goals_reuse_one_grounding(constructions):
+    model = build_demo_model()
+    domain, report = derive_domain(model)
+    goals = generate_permutation_goals(model)
+    assert len(goals) == 23
+    problems = [derive_problem(model, goal, report) for goal in goals]
+    tasks = [ground(domain, problem) for problem in problems]
+    assert len(constructions) == 1
+    assert all(task.actions is tasks[0].actions for task in tasks)
+    for task, problem in zip(tasks, problems):
+        assert task == ground(replace(domain), problem)
+    assert len(constructions) == 24
+
+
+def test_goals_naming_fluents_no_action_adds():
+    # with (Heavy a) nothing adds (Up a): a goal naming it numbers it last
+    # and keeps actions that need it; a goal that does not reuses the rest
+    domain = parse_domain(MICRO_DOMAIN)
+    for goal in ["(Up b)", "(and (Up a) (not (Up c)))", "(not (Up a))", "(Up c)"]:
+        problem = parse_problem(_micro_problem("(Heavy a) (Linked b a)", goal))
+        assert ground(domain, problem) == ground(parse_domain(MICRO_DOMAIN), problem)
+
+
+def test_another_model_or_domain_object_grounds_afresh(constructions):
+    domain = parse_domain(MICRO_DOMAIN)
+
+    def problem(init: str, goal: str = "(Up a)", objects: str = "a b c"):
+        text = _micro_problem(init, goal).replace("a b c - Thing", f"{objects} - Thing")
+        return parse_problem(text)
+
+    ground(domain, problem("(Up b)"))
+    ground(domain, problem("(Up b)", "(Up c)"))
+    assert len(constructions) == 1
+    ground(domain, problem("(Up c)"))  # another init
+    assert len(constructions) == 2
+    ground(domain, problem("(Up c)", objects="a b c d"))  # other objects
+    assert len(constructions) == 3
+    ground(parse_domain(MICRO_DOMAIN), problem("(Up c)", objects="a b c d"))
+    assert len(constructions) == 4  # an equal domain, but another object
+    ground(domain, problem("(Up b)"))  # one entry: the first model was replaced
+    assert len(constructions) == 5
+
+
+@pytest.mark.parametrize("bad_goal", ["(Wat a)", "(Up zz)", "(Up a b)"])
+def test_goal_errors_are_the_same_on_a_reused_grounding(constructions, bad_goal):
+    bad = parse_problem(_micro_problem("(Up b)", bad_goal))
+    good = parse_problem(_micro_problem("(Up b)", "(Up a)"))
+    with pytest.raises(GroundingError) as fresh:
+        ground(parse_domain(MICRO_DOMAIN), bad)
+    domain = parse_domain(MICRO_DOMAIN)
+    ground(domain, good)
+    with pytest.raises(GroundingError) as reused:
+        ground(domain, bad)
+    assert len(constructions) == 2
+    assert type(reused.value) is type(fresh.value)
+    assert str(reused.value) == str(fresh.value)
+
+    # a grounding that raises keeps nothing for the next call to reuse
+    other = parse_domain(MICRO_DOMAIN)
+    with pytest.raises(GroundingError):
+        ground(other, bad)
+    ground(other, good)
+    assert len(constructions) == 4
+
+
+def test_reuse_keeps_no_domain_alive():
+    domain = parse_domain(MICRO_DOMAIN)
+    ground(domain, parse_problem(_micro_problem("(Up b)", "(Up a)")))
+    assert grounding._last is not None
+    ref = weakref.ref(domain)
+    del domain
+    gc.collect()
+    assert ref() is None
+    assert grounding._last is None

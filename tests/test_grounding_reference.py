@@ -152,3 +152,21 @@ def test_ring_forward_and_reverse(n_pus):
 def test_drilling_ring(n_pus):
     model, domain, report = _ring(n_pus, True)
     _assert_same(domain, derive_problem(model, generate_drill_goal(model), report))
+
+
+def test_demo_goals_interleaved_with_another_model():
+    # ground() keeps the goal-independent half of its last call: runs of
+    # demo goals reuse it, and a ring problem between them must neither be
+    # served the demo's half nor leave its own for the next demo goal
+    model = build_demo_model()
+    domain, report = derive_domain(model)
+    ring, ring_domain, ring_report = _ring(9, False)
+    ring_goal = generate_reverse_goal(ring)
+    ring_problems = [
+        derive_problem(ring, ring_goal, ring_report),
+        derive_reverse_problem(ring, ring_goal, ring_report),
+    ]
+    for i, goal in enumerate(generate_permutation_goals(model)):
+        _assert_same(domain, derive_problem(model, goal, report))
+        if i % 3 == 2:
+            _assert_same(ring_domain, ring_problems[i // 3 % 2])
