@@ -7,24 +7,32 @@ import pytest
 from prodplan import (
     GoalSpec,
     build_routing_graph,
+    demo_goal_2341,
+    derive_domain,
+    derive_problem,
     generate_drill_goal,
     generate_permutation_goals,
     generate_reverse_goal,
     generate_ring_layout,
+    ground,
     load_goal_model,
     load_production_model,
     save_goal_model,
     save_production_model,
+    solve,
     validate_model,
 )
 from prodplan.errors import InvalidParameter, ParseError, ValidationError
 from prodplan.model_io import (
+    dumps_canonical,
     goal_from_dict,
     goal_to_dict,
+    integrated_to_dict,
     model_from_dict,
     model_to_dict,
     shuttle_count_for,
 )
+from prodplan.operations import merge, plan_to_operations
 
 
 def test_model_round_trip(demo_model, tmp_path):
@@ -206,3 +214,57 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ParseError):
         load_production_model(path)
+
+
+def _json_indent_2(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def test_canonical_text_is_json_dumps_indent_2(demo_model):
+    models = [demo_model] + [
+        generate_ring_layout(n, 0.65, with_robot_and_boards=boards)
+        for n in (5, 9)
+        for boards in (False, True)
+    ]
+    for model in models:
+        data = model_to_dict(model)
+        assert dumps_canonical(data) == _json_indent_2(data)
+    goals = [demo_goal_2341(), *generate_permutation_goals(demo_model)]
+    for goal in goals:
+        data = goal_to_dict(goal)
+        assert dumps_canonical(data) == _json_indent_2(data)
+
+    domain, report = derive_domain(demo_model)
+    records = []
+    for goal in generate_permutation_goals(demo_model):
+        result = solve(ground(domain, derive_problem(demo_model, goal, report)))
+        records.append(plan_to_operations(result.plan, report, goal.id))
+    data = integrated_to_dict(merge(demo_model, records))
+    assert len(data["operationsDefinitions"]) == 23
+    assert dumps_canonical(data) == _json_indent_2(data)
+
+
+def test_canonical_text_of_awkward_values_is_json_dumps_indent_2():
+    data = {
+        "caf\u00e9 \u2603 \U0001f600": "\u00fcber \"quoted\" back\\slash \x00\x1f\t\n\r\x7f",
+        "\"": ["\\", "\b\f", "/"],
+        "floats": [-0.0, 0.0, 1e-7, 1e16, 0.1, 1.5, -2.25e300, float("nan"), float("inf"), -float("inf")],
+        "ints": [0, -1, 2**70, True, False, None],
+        "tuple": (1, ("a", ()), [{}]),
+        "empty": {"list": [], "dict": {}, "nested": [[], [{}], {"x": []}]},
+        1: "int key",
+        2.5: "float key",
+        True: "bool key",
+        None: "null key",
+    }
+    assert dumps_canonical(data) == _json_indent_2(data)
+    assert dumps_canonical({}) == _json_indent_2({})
+
+
+@pytest.mark.parametrize("data", [{"s": {1, 2}}, {"s": [b"bytes"]}, {("a", "b"): 1}])
+def test_canonical_text_rejects_what_json_rejects(data):
+    with pytest.raises(TypeError) as ours:
+        dumps_canonical(data)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(data, indent=2)
+    assert str(ours.value) == str(theirs.value)

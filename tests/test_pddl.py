@@ -178,6 +178,22 @@ def test_syntax_error_position_after_tabs_and_comments(text, line, column):
 
 
 @pytest.mark.parametrize(
+    "parse,text,line,column",
+    [
+        (parse_problem, "(define (problem p) (:domain d)\n  (:init (P a) ()))", 2, 16),
+        (parse_problem, "(define (problem p) (:domain d)\n\t(:goal ()))", 2, 9),
+        (parse_domain, "(define (domain d)\n  (:predicates (P ?x) ( )))", 2, 23),
+        (parse_domain, "; nothing here\n  ()", 2, 3),
+        (parse_domain, "(define (domain d)\n (:types T)\n   ())", 3, 4),
+    ],
+)
+def test_empty_form_error_points_at_its_open_paren(parse, text, line, column):
+    with pytest.raises(PddlSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "(define (domain d) (:nonsense))",
