@@ -9,8 +9,10 @@ serialize/parse PDDL -> solve (embedded A*/greedy or an external solver)
 imported from the submodule named in ``_EXPORTS`` on first use (PEP 562),
 so a process that only parses, grounds and searches, such as the
 ``prodplan solve`` child of an external-solver run, never loads the
-model, transform or operations code. The compiled search core is built or
-loaded when ``prodplan.planner`` is first imported.
+model, transform or operations code. Importing ``prodplan.planner`` does
+not build the compiled search core either: the first search or backend
+query (``solve``, ``backend_name``, ``prodplan --version``) builds or
+loads it.
 """
 
 from importlib import import_module

@@ -286,13 +286,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from collections import Counter
+
     from .model_io import load_goal_model, load_production_model
     from .transform import derive_domain, derive_problem
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = load_production_model(args.model)
     goals = [load_goal_model(path, model) for path in args.goal]
+    # each goal's files are named by its id, so one id must not name two goals
+    counts = Counter(goal.id for goal in goals)
+    repeated = sorted(gid for gid, n in counts.items() if n > 1)
+    if repeated:
+        raise ValidationError(f"goal id {gid!r} names {counts[gid]} goals" for gid in repeated)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     domain, report = derive_domain(model)
     problems = [derive_problem(model, goal, report) for goal in goals]

@@ -9,138 +9,42 @@ room to reorder the shuttles.
 
 from __future__ import annotations
 
-from .model import (
-    IMPLICIT_TAG,
-    OCCUPIED_PROPERTY,
-    POSITIONING_UNIT_CLASS,
-    PU_CONNECTION,
-    SHUTTLE_CLASS,
-    SHUTTLE_CONNECTION,
-    TRACK_CONNECTION,
-    TRACK_ELEMENT_CLASS,
-    Equipment,
-    EquipmentClass,
-    EquipmentClassProperty,
-    EquipmentProperty,
-    ProductionModel,
-    ResourceNetwork,
-    ResourceNetworkConnection,
-)
-from .model_io import GoalSpec, standard_move_segment
+from .model import ProductionModel
+from .model_io import GoalSpec, generate_permutation_goals, track_layout
 
 SWITCHABLE_PROPERTY = "BeaconOn"
 
-# PU-i is attached to TE-i; the curve carries no PU.
-_PU_COORDS = {
-    1: (0.0, 0.0, 0.0),
-    2: (20.0, 0.0, 0.0),
-    3: (10.0, 0.0, 0.0),
-    4: (30.0, 0.0, 0.0),
-    5: (15.0, 3.0, 0.0),
-}
-
-# Directed track segments; they collapse to the PU routing edges
-# 1->3, 3->5, 5->2, 3->2, 2->4 and 4->1 (through the curve).
-_TRACKS = (
-    ("TrackElement-01", "TrackElement-03"),
-    ("TrackElement-03", "TrackElement-05"),
-    ("TrackElement-05", "TrackElement-02"),
-    ("TrackElement-03", "TrackElement-02"),
-    ("TrackElement-02", "TrackElement-04"),
-    ("TrackElement-04", "TrackElement-C1"),
-    ("TrackElement-C1", "TrackElement-01"),
+# Coordinates of PU-01 .. PU-05; PU-i is attached to TrackElement-i.
+_PU_COORDS = (
+    (0.0, 0.0, 0.0),
+    (20.0, 0.0, 0.0),
+    (10.0, 0.0, 0.0),
+    (30.0, 0.0, 0.0),
+    (15.0, 3.0, 0.0),
 )
 
-# Shuttle-id -> initial PU. Reading the PUs in shuttle-id order gives the
-# slot sequence PU-03, PU-01, PU-04, PU-02, i.e. the arrangement "1234".
-_SHUTTLE_AT = {1: 3, 2: 1, 3: 4, 4: 2}
+# Directed track segments between the PUs' elements and the curve C1,
+# which carries no PU; they collapse to the PU routing edges 1->3, 3->5,
+# 5->2, 3->2, 2->4 and 4->1 (through the curve).
+_TRACKS = ((1, 3), (3, 5), (5, 2), (3, 2), (2, 4), (4, "C1"), ("C1", 1))
+
+# The PU of Shuttle-01 .. Shuttle-04. Reading them in shuttle-id order gives
+# the slot sequence PU-03, PU-01, PU-04, PU-02, i.e. the arrangement "1234".
+_SHUTTLE_PUS = (3, 1, 4, 2)
 
 
 def build_demo_model(with_switchable_property: bool = False) -> ProductionModel:
     """The demo system; optionally each shuttle gets a switchable beacon."""
-    shuttle_props = (
-        (EquipmentClassProperty(id=SWITCHABLE_PROPERTY),)
-        if with_switchable_property
-        else ()
-    )
-    classes = (
-        EquipmentClass(
-            id=POSITIONING_UNIT_CLASS,
-            properties=(
-                EquipmentClassProperty(id=OCCUPIED_PROPERTY, tags=(IMPLICIT_TAG,)),
-            ),
-        ),
-        EquipmentClass(id=SHUTTLE_CLASS, properties=shuttle_props),
-        EquipmentClass(id=TRACK_ELEMENT_CLASS),
-    )
-
-    equipment = []
-    connections = []
-    occupied_pus = set(_SHUTTLE_AT.values())
-    for i in range(1, 6):
-        pu = f"PositioningUnit-{i:02d}"
-        te = f"TrackElement-{i:02d}"
-        equipment.append(
-            Equipment(
-                id=pu,
-                class_ids=(POSITIONING_UNIT_CLASS,),
-                properties=(
-                    EquipmentProperty(
-                        id=f"{OCCUPIED_PROPERTY}-{i:02d}",
-                        implements_class_property_id=OCCUPIED_PROPERTY,
-                        value=i in occupied_pus,
-                    ),
-                ),
-            )
-        )
-        equipment.append(Equipment(id=te, class_ids=(TRACK_ELEMENT_CLASS,)))
-        connections.append(
-            ResourceNetworkConnection(PU_CONNECTION, pu, te, _PU_COORDS[i])
-        )
-    equipment.append(Equipment(id="TrackElement-C1", class_ids=(TRACK_ELEMENT_CLASS,)))
-
-    for from_te, to_te in _TRACKS:
-        connections.append(ResourceNetworkConnection(TRACK_CONNECTION, from_te, to_te))
-
-    for s, pu in _SHUTTLE_AT.items():
-        sid = f"Shuttle-{s:02d}"
-        beacon = (
-            (
-                EquipmentProperty(
-                    id=f"{SWITCHABLE_PROPERTY}-{s:02d}",
-                    implements_class_property_id=SWITCHABLE_PROPERTY,
-                    value=False,
-                ),
-            )
-            if with_switchable_property
-            else ()
-        )
-        equipment.append(Equipment(id=sid, class_ids=(SHUTTLE_CLASS,), properties=beacon))
-        connections.append(
-            ResourceNetworkConnection(
-                SHUTTLE_CONNECTION, sid, f"TrackElement-{pu:02d}", _PU_COORDS[pu]
-            )
-        )
-
-    return ProductionModel(
-        equipment_classes=classes,
-        equipment=tuple(equipment),
-        material_lots=(),
-        process_segments=(standard_move_segment(),),
-        resource_networks=(
-            ResourceNetwork(id="TransportNetwork", connections=tuple(connections)),
-        ),
+    return track_layout(
+        _PU_COORDS,
+        _TRACKS,
+        _SHUTTLE_PUS,
+        curves=("C1",),
+        shuttle_property=SWITCHABLE_PROPERTY if with_switchable_property else None,
     )
 
 
 def demo_goal_2341() -> GoalSpec:
     """Rotate the arrangement 1234 to 2341."""
-    return GoalSpec(
-        id="goal-2341",
-        shuttle_locations=(
-            ("Shuttle-02", "PositioningUnit-03"),
-            ("Shuttle-03", "PositioningUnit-01"),
-            ("Shuttle-04", "PositioningUnit-04"),
-            ("Shuttle-01", "PositioningUnit-02"),
-        ),
-    )
+    goals = generate_permutation_goals(build_demo_model())
+    return next(goal for goal in goals if goal.id == "goal-2341")

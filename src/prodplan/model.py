@@ -36,8 +36,6 @@ PU_CONNECTION = "Positioning-Unit-Connection"
 SHUTTLE_CONNECTION = "Shuttle-Connection"
 REACH_CONNECTION = "Reach-Connection"
 
-CONNECTION_TYPES = (TRACK_CONNECTION, PU_CONNECTION, SHUTTLE_CONNECTION, REACH_CONNECTION)
-
 DURATION_UNITS = {"s": 1, "min": 60, "h": 3600}
 
 # Shuttles count as parked at a PU when their coordinates agree within this
@@ -409,16 +407,36 @@ def validate_model(model: ProductionModel) -> list[Diagnostic]:
     return diags
 
 
+# Connection type -> (class, noun) of its from end and of its to end, None
+# for any equipment, and the noun for the connection when it must carry
+# coordinates.
+_CONNECTION_RULES = {
+    TRACK_CONNECTION: (
+        (TRACK_ELEMENT_CLASS, f"a {TRACK_ELEMENT_CLASS}"),
+        (TRACK_ELEMENT_CLASS, f"a {TRACK_ELEMENT_CLASS}"),
+        None,
+    ),
+    PU_CONNECTION: (
+        (POSITIONING_UNIT_CLASS, "a PU"),
+        (TRACK_ELEMENT_CLASS, "a track element"),
+        "PU connection",
+    ),
+    SHUTTLE_CONNECTION: (
+        (SHUTTLE_CLASS, "a shuttle"),
+        (TRACK_ELEMENT_CLASS, "a track element"),
+        "shuttle connection",
+    ),
+    REACH_CONNECTION: (None, (POSITIONING_UNIT_CLASS, "a PU"), None),
+}
+
+
 def _validate_connections(model: ProductionModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-
-    def classed(eid: str, class_id: str) -> bool:
-        equip = model.equipment_by_id.get(eid)
-        return equip is not None and class_id in equip.class_ids
-
+    equipment = model.equipment_by_id
     for conn in model.connections:
         label = f"{conn.from_id}->{conn.to_id}"
-        if conn.connection_type not in CONNECTION_TYPES:
+        rule = _CONNECTION_RULES.get(conn.connection_type)
+        if rule is None:
             diags.append(
                 Diagnostic(
                     label,
@@ -427,64 +445,25 @@ def _validate_connections(model: ProductionModel) -> list[Diagnostic]:
                 )
             )
             continue
-        for eid in (conn.from_id, conn.to_id):
-            if eid not in model.equipment_by_id:
-                diags.append(
-                    Diagnostic(label, "dangling-reference", f"unknown equipment {eid!r}")
-                )
-        if any(
-            eid not in model.equipment_by_id for eid in (conn.from_id, conn.to_id)
-        ):
-            continue
-        if conn.connection_type == TRACK_CONNECTION:
+        from_equip = equipment.get(conn.from_id)
+        to_equip = equipment.get(conn.to_id)
+        if from_equip is None or to_equip is None:
             for eid in (conn.from_id, conn.to_id):
-                if not classed(eid, TRACK_ELEMENT_CLASS):
+                if eid not in equipment:
                     diags.append(
-                        Diagnostic(
-                            label,
-                            "bad-endpoint",
-                            f"{eid} is not a {TRACK_ELEMENT_CLASS}",
-                        )
+                        Diagnostic(label, "dangling-reference", f"unknown equipment {eid!r}")
                     )
-        elif conn.connection_type == PU_CONNECTION:
-            if not classed(conn.from_id, POSITIONING_UNIT_CLASS):
+            continue
+        from_rule, to_rule, coordinates_for = rule
+        for equip, end_rule in ((from_equip, from_rule), (to_equip, to_rule)):
+            if end_rule is not None and end_rule[0] not in equip.class_ids:
                 diags.append(
-                    Diagnostic(
-                        label, "bad-endpoint", f"{conn.from_id} is not a PU"
-                    )
+                    Diagnostic(label, "bad-endpoint", f"{equip.id} is not {end_rule[1]}")
                 )
-            if not classed(conn.to_id, TRACK_ELEMENT_CLASS):
-                diags.append(
-                    Diagnostic(
-                        label, "bad-endpoint", f"{conn.to_id} is not a track element"
-                    )
-                )
-            if conn.coordinates is None:
-                diags.append(
-                    Diagnostic(label, "missing-coordinates", "PU connection needs (x, y, z)")
-                )
-        elif conn.connection_type == SHUTTLE_CONNECTION:
-            if not classed(conn.from_id, SHUTTLE_CLASS):
-                diags.append(
-                    Diagnostic(label, "bad-endpoint", f"{conn.from_id} is not a shuttle")
-                )
-            if not classed(conn.to_id, TRACK_ELEMENT_CLASS):
-                diags.append(
-                    Diagnostic(
-                        label, "bad-endpoint", f"{conn.to_id} is not a track element"
-                    )
-                )
-            if conn.coordinates is None:
-                diags.append(
-                    Diagnostic(
-                        label, "missing-coordinates", "shuttle connection needs (x, y, z)"
-                    )
-                )
-        elif conn.connection_type == REACH_CONNECTION:
-            if not classed(conn.to_id, POSITIONING_UNIT_CLASS):
-                diags.append(
-                    Diagnostic(label, "bad-endpoint", f"{conn.to_id} is not a PU")
-                )
+        if coordinates_for is not None and conn.coordinates is None:
+            diags.append(
+                Diagnostic(label, "missing-coordinates", f"{coordinates_for} needs (x, y, z)")
+            )
     return diags
 
 

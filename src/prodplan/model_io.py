@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -363,6 +363,9 @@ def goal_from_dict(data: dict) -> GoalSpec:
     if not isinstance(data, dict):
         raise ParseError("goal document must be a JSON object")
     gid = _want(data, "id", str, "goal", required=True)
+    # the id names the goal's plan, problem and solver files
+    if gid in ("", ".", "..") or "/" in gid or "\\" in gid:
+        raise ParseError(f"goal id {gid!r} cannot name a file")
 
     def pairs(key: str) -> tuple[tuple[str, str], ...]:
         out = []
@@ -635,6 +638,115 @@ def shuttle_count_for(n_pus: int, load_factor: float) -> int:
     return int(exact.to_integral_value(rounding=ROUND_HALF_UP))
 
 
+def track_layout(
+    pu_coords,
+    tracks,
+    shuttle_pus,
+    curves=(),
+    shuttle_property: str | None = None,
+    drilling: bool = False,
+) -> ProductionModel:
+    """Build a track plant, the one encoding of the demo and ring layouts.
+
+    PU i (numbered from 1) sits on TrackElement-i at ``pu_coords[i - 1]``.
+    ``curves`` name PU-free track elements, and ``tracks`` are directed
+    (from, to) pairs of PU numbers or curve names. Shuttle s is parked on
+    PU ``shuttle_pus[s - 1]``, which is then occupied. With
+    ``shuttle_property`` every shuttle implements a switchable boolean
+    property of that name, off. With ``drilling`` a drilling robot reaches
+    PU 2 and every shuttle carries one board.
+    """
+
+    def te_id(key) -> str:  # a PU number, zero-padded, or a curve name
+        return f"TrackElement-{key:0>2}"
+
+    switchable = (EquipmentClassProperty(id=shuttle_property),) if shuttle_property else ()
+    classes = [
+        EquipmentClass(
+            id=POSITIONING_UNIT_CLASS,
+            properties=(
+                EquipmentClassProperty(id=OCCUPIED_PROPERTY, tags=(IMPLICIT_TAG,)),
+            ),
+        ),
+        EquipmentClass(id=SHUTTLE_CLASS, properties=switchable),
+        EquipmentClass(id=TRACK_ELEMENT_CLASS),
+    ]
+
+    equipment = []
+    connections = []
+    occupied = set(shuttle_pus)
+    for i, coord in enumerate(pu_coords, 1):
+        pu, te = f"PositioningUnit-{i:02d}", te_id(i)
+        equipment.append(
+            Equipment(
+                id=pu,
+                class_ids=(POSITIONING_UNIT_CLASS,),
+                properties=(
+                    EquipmentProperty(
+                        id=f"{OCCUPIED_PROPERTY}-{i:02d}",
+                        implements_class_property_id=OCCUPIED_PROPERTY,
+                        value=i in occupied,
+                    ),
+                ),
+            )
+        )
+        equipment.append(Equipment(id=te, class_ids=(TRACK_ELEMENT_CLASS,)))
+        connections.append(ResourceNetworkConnection(PU_CONNECTION, pu, te, coord))
+    for curve in curves:
+        equipment.append(Equipment(id=te_id(curve), class_ids=(TRACK_ELEMENT_CLASS,)))
+    for from_key, to_key in tracks:
+        connections.append(
+            ResourceNetworkConnection(TRACK_CONNECTION, te_id(from_key), te_id(to_key))
+        )
+
+    for s, pu in enumerate(shuttle_pus, 1):
+        sid = f"Shuttle-{s:02d}"
+        props = (
+            (
+                EquipmentProperty(
+                    id=f"{shuttle_property}-{s:02d}",
+                    implements_class_property_id=shuttle_property,
+                    value=False,
+                ),
+            )
+            if shuttle_property
+            else ()
+        )
+        equipment.append(Equipment(id=sid, class_ids=(SHUTTLE_CLASS,), properties=props))
+        connections.append(
+            ResourceNetworkConnection(SHUTTLE_CONNECTION, sid, te_id(pu), pu_coords[pu - 1])
+        )
+
+    lots = []
+    segments = [standard_move_segment()]
+    if drilling:
+        robot = f"{DRILLING_ROBOT_CLASS}-01"
+        classes.append(EquipmentClass(id=DRILLING_ROBOT_CLASS))
+        equipment.append(Equipment(id=robot, class_ids=(DRILLING_ROBOT_CLASS,)))
+        connections.append(
+            ResourceNetworkConnection(REACH_CONNECTION, robot, "PositioningUnit-02")
+        )
+        for s in range(1, len(shuttle_pus) + 1):
+            lots.append(
+                MaterialLot(
+                    id=f"Board-{s:02d}",
+                    mounted_on_equipment_id=f"Shuttle-{s:02d}",
+                    properties=(MaterialProperty(id=HAS_HOLE_PROPERTY, value=False),),
+                )
+            )
+        segments.append(standard_drill_segment())
+
+    return ProductionModel(
+        equipment_classes=tuple(classes),
+        equipment=tuple(equipment),
+        material_lots=tuple(lots),
+        process_segments=tuple(segments),
+        resource_networks=(
+            ResourceNetwork(id="TransportNetwork", connections=tuple(connections)),
+        ),
+    )
+
+
 def generate_ring_layout(
     n_pus: int, load_factor: float, with_robot_and_boards: bool = False
 ) -> ProductionModel:
@@ -657,12 +769,6 @@ def generate_ring_layout(
             f"{n_loop} loop PUs"
         )
 
-    def pu_id(i: int) -> str:
-        return f"PositioningUnit-{i:02d}"
-
-    def te_id(i: int) -> str:
-        return f"TrackElement-{i:02d}"
-
     def coord(i: int) -> tuple[float, float, float]:
         if i == n_pus:  # siding PU sits outside the loop, between PU 1 and 2
             angle = math.pi / n_loop
@@ -672,81 +778,12 @@ def generate_ring_layout(
             radius = 10.0
         return (round(radius * math.cos(angle), 6), round(radius * math.sin(angle), 6), 0.0)
 
-    classes = [
-        EquipmentClass(
-            id=POSITIONING_UNIT_CLASS,
-            properties=(
-                EquipmentClassProperty(id=OCCUPIED_PROPERTY, tags=(IMPLICIT_TAG,)),
-            ),
-        ),
-        EquipmentClass(id=SHUTTLE_CLASS),
-        EquipmentClass(id=TRACK_ELEMENT_CLASS),
-    ]
-    if with_robot_and_boards:
-        classes.append(EquipmentClass(id=DRILLING_ROBOT_CLASS))
-
-    equipment = []
-    connections = []
-    for i in range(1, n_pus + 1):
-        occupied = i <= n_shuttles  # shuttles are seeded on loop PUs 1..k
-        equipment.append(
-            Equipment(
-                id=pu_id(i),
-                class_ids=(POSITIONING_UNIT_CLASS,),
-                properties=(
-                    EquipmentProperty(
-                        id=f"{OCCUPIED_PROPERTY}-{i:02d}",
-                        implements_class_property_id=OCCUPIED_PROPERTY,
-                        value=occupied,
-                    ),
-                ),
-            )
-        )
-        equipment.append(Equipment(id=te_id(i), class_ids=(TRACK_ELEMENT_CLASS,)))
-        connections.append(
-            ResourceNetworkConnection(PU_CONNECTION, pu_id(i), te_id(i), coord(i))
-        )
-    for i in range(1, n_loop):
-        connections.append(
-            ResourceNetworkConnection(TRACK_CONNECTION, te_id(i), te_id(i + 1))
-        )
-    connections.append(ResourceNetworkConnection(TRACK_CONNECTION, te_id(n_loop), te_id(1)))
-    connections.append(ResourceNetworkConnection(TRACK_CONNECTION, te_id(1), te_id(n_pus)))
-    connections.append(ResourceNetworkConnection(TRACK_CONNECTION, te_id(n_pus), te_id(2)))
-
-    for i in range(1, n_shuttles + 1):
-        sid = f"Shuttle-{i:02d}"
-        equipment.append(Equipment(id=sid, class_ids=(SHUTTLE_CLASS,)))
-        connections.append(
-            ResourceNetworkConnection(SHUTTLE_CONNECTION, sid, te_id(i), coord(i))
-        )
-
-    lots = []
-    segments = [standard_move_segment()]
-    if with_robot_and_boards:
-        robot = f"{DRILLING_ROBOT_CLASS}-01"
-        equipment.append(Equipment(id=robot, class_ids=(DRILLING_ROBOT_CLASS,)))
-        connections.append(
-            ResourceNetworkConnection(REACH_CONNECTION, robot, pu_id(2))
-        )
-        for i in range(1, n_shuttles + 1):
-            lots.append(
-                MaterialLot(
-                    id=f"Board-{i:02d}",
-                    mounted_on_equipment_id=f"Shuttle-{i:02d}",
-                    properties=(MaterialProperty(id=HAS_HOLE_PROPERTY, value=False),),
-                )
-            )
-        segments.append(standard_drill_segment())
-
-    return ProductionModel(
-        equipment_classes=tuple(classes),
-        equipment=tuple(equipment),
-        material_lots=tuple(lots),
-        process_segments=tuple(segments),
-        resource_networks=(
-            ResourceNetwork(id="TransportNetwork", connections=tuple(connections)),
-        ),
+    loop = [(i, i % n_loop + 1) for i in range(1, n_loop + 1)]
+    return track_layout(
+        [coord(i) for i in range(1, n_pus + 1)],
+        loop + [(1, n_pus), (n_pus, 2)],
+        range(1, n_shuttles + 1),
+        drilling=with_robot_and_boards,
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import stat
 import subprocess
@@ -13,6 +14,8 @@ from prodplan.cli import main
 from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.model_io import (
     GoalSpec,
+    generate_permutation_goals,
+    goal_to_dict,
     load_goal_model,
     load_integrated_model,
     load_production_model,
@@ -256,6 +259,77 @@ def test_pipeline_with_external_solver(
         == 0
     )
     assert "goal-2341: solved cost=50" in capsys.readouterr().out
+
+
+_COSTLESS_SOLVER = """\
+import subprocess
+import sys
+from pathlib import Path
+
+domain, problem, plan = sys.argv[1:]
+subprocess.run(
+    [sys.executable, "-m", "prodplan.cli", "solve", "--domain", domain,
+     "--problem", problem, "--plan-out", plan],
+    check=True,
+)
+lines = Path(plan).read_text().splitlines(keepends=True)
+Path(plan).write_text("".join(l for l in lines if not l.startswith("; cost")))
+"""
+
+
+def test_pipeline_fills_in_a_cost_the_solver_left_out(
+    demo_files, tmp_path, capsys, child_pythonpath
+):
+    model_path, goal_path = demo_files
+    script = tmp_path / "costless.py"
+    script.write_text(_COSTLESS_SOLVER)
+    out = tmp_path / "out"
+    solver = f"{sys.executable} {script} {{domain}} {{problem}} {{plan}}"
+    args = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    assert main(args + ["--out", str(out), "--solver-cmd", solver]) == 0
+    assert "goal-2341: solved cost=50" in capsys.readouterr().out
+    solver_plan = (out / "solver" / "goal-2341" / "plan.txt").read_text()
+    assert "; cost" not in solver_plan
+    plan = parse_plan((out / "plan-goal-2341.txt").read_text())
+    assert plan.cost == 50 and len(plan.steps) == 5
+    (record,) = load_integrated_model(out / "integrated.json").operations_definitions
+    assert record.total_cost == 50
+
+
+def test_pipeline_refuses_two_goals_with_one_id(demo_files, tmp_path, capsys):
+    model_path, _ = demo_files
+    model = build_demo_model()
+    goals = generate_permutation_goals(model)
+    paths = []
+    for name, goal in (("a", goals[0]), ("b", goals[5])):
+        paths += ["--goal", str(tmp_path / f"{name}.json")]
+        save_goal_model(dataclasses.replace(goal, id="same"), tmp_path / f"{name}.json")
+    out = tmp_path / "out"
+    argv = ["pipeline", "--model", str(model_path), *paths, "--out", str(out)]
+    assert main(argv + ["--use-emitted"]) == 1
+    assert "goal id 'same' names 2 goals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("emit", [[], ["--emit-pddl"]])
+def test_pipeline_refuses_a_goal_id_outside_out(
+    demo_files, tmp_path, capsys, child_pythonpath, emit
+):
+    model_path, _ = demo_files
+    goal = goal_to_dict(demo_goal_2341())
+    goal["id"] = "../../escaped"
+    goal_path = tmp_path / "escape.json"
+    goal_path.write_text(json.dumps(goal))
+    out = tmp_path / "deep" / "er" / "out"
+    solver = (
+        f"{sys.executable} -m prodplan.cli solve "
+        "--domain {domain} --problem {problem} --plan-out {plan}"
+    )
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    assert main(argv + ["--out", str(out), "--solver-cmd", solver, *emit]) == 1
+    assert "cannot name a file" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_permutations_sweep(demo_files, tmp_path, capsys):

@@ -8,6 +8,7 @@ from prodplan import build_routing_graph, validate_model
 from prodplan.errors import ProdplanError, ShuttleOffStation
 from prodplan.model import (
     PU_CONNECTION,
+    REACH_CONNECTION,
     SHUTTLE_CONNECTION,
     TRACK_CONNECTION,
     Duration,
@@ -295,6 +296,52 @@ def test_validate_reports_bad_connection_endpoints():
     assert rules.count("bad-endpoint") >= 2
     assert "unknown-connection-type" in rules
     assert "dangling-reference" in rules
+
+
+_AT = (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "connection,expected",
+    [
+        (
+            ResourceNetworkConnection(PU_CONNECTION, "S1", "T1", _AT),
+            "[bad-endpoint] S1->T1: S1 is not a PU",
+        ),
+        (
+            ResourceNetworkConnection(PU_CONNECTION, "P1", "S1", _AT),
+            "[bad-endpoint] P1->S1: S1 is not a track element",
+        ),
+        (
+            ResourceNetworkConnection(PU_CONNECTION, "P1", "T1"),
+            "[missing-coordinates] P1->T1: PU connection needs (x, y, z)",
+        ),
+        (
+            ResourceNetworkConnection(SHUTTLE_CONNECTION, "P1", "T1", _AT),
+            "[bad-endpoint] P1->T1: P1 is not a shuttle",
+        ),
+        (
+            ResourceNetworkConnection(SHUTTLE_CONNECTION, "S1", "P1", _AT),
+            "[bad-endpoint] S1->P1: P1 is not a track element",
+        ),
+        (
+            ResourceNetworkConnection(SHUTTLE_CONNECTION, "S1", "T1"),
+            "[missing-coordinates] S1->T1: shuttle connection needs (x, y, z)",
+        ),
+        (
+            ResourceNetworkConnection(REACH_CONNECTION, "S1", "T1"),
+            "[bad-endpoint] S1->T1: T1 is not a PU",
+        ),
+    ],
+)
+def test_validate_names_each_connection_rule(connection, expected):
+    base = _valid_base()
+    model = ProductionModel(
+        equipment_classes=base["equipment_classes"],
+        equipment=base["equipment"] + (Equipment(id="T1", class_ids=("TrackElement",)),),
+        resource_networks=(ResourceNetwork(id="net", connections=(connection,)),),
+    )
+    assert [str(d) for d in validate_model(model)] == [expected]
 
 
 def test_empty_model_flagged():

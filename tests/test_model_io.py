@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from prodplan import (
     GoalSpec,
+    build_demo_model,
     build_routing_graph,
     demo_goal_2341,
     derive_domain,
@@ -30,6 +32,7 @@ from prodplan.model_io import (
     integrated_to_dict,
     model_from_dict,
     model_to_dict,
+    permutation_label,
     shuttle_count_for,
 )
 from prodplan.operations import merge, plan_to_operations
@@ -100,6 +103,27 @@ def test_tags_parsed_from_description():
     assert model_to_dict(model)["equipmentClasses"][0]["properties"][0][
         "description"
     ] == "pddl:implicit, pddl:pre"
+
+
+@pytest.mark.parametrize("gid", ["", ".", "..", "../../escaped", "a/b", "a\\b", "/abs"])
+def test_goal_id_that_cannot_name_a_file_is_refused(gid):
+    with pytest.raises(ParseError, match="cannot name a file"):
+        goal_from_dict({"id": gid})
+
+
+def test_generated_goal_ids_load(demo_model):
+    drilling = generate_ring_layout(5, 0.65, with_robot_and_boards=True)
+    ten_shuttles = permutation_label(tuple(range(8)) + (9, 8))
+    assert ten_shuttles == "1-2-3-4-5-6-7-8-10-9"
+    goals = [
+        *generate_permutation_goals(demo_model),
+        generate_reverse_goal(drilling),
+        generate_drill_goal(drilling),
+        GoalSpec(id=f"goal-{ten_shuttles}"),
+        GoalSpec(id="ring9-reverse"),
+    ]
+    for goal in goals:
+        assert goal_from_dict(goal_to_dict(goal)) == goal
 
 
 def test_goal_dict_round_trip():
@@ -268,3 +292,54 @@ def test_canonical_text_rejects_what_json_rejects(data):
     with pytest.raises(TypeError) as theirs:
         json.dumps(data, indent=2)
     assert str(ours.value) == str(theirs.value)
+
+
+# SHA-256 of the canonical JSON of each generated plant, as first written:
+# the builders may change, the plants they write may not.
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (lambda: build_demo_model(), "f8e80eaa7fed34365f68e36e4bfde59a1d29373c40183c5e0f0e6df3db253a68"),
+        (lambda: build_demo_model(with_switchable_property=True), "fa2b7021350658c6c88213ea685466404bf6fcfbf97edb826f0a385b177c36b2"),
+        (lambda: generate_ring_layout(3, 0.65), "a0e0e2954a679a21dabecd9438c4612dbbdd2710edcd162a0e6bf5814cebad40"),
+        (lambda: generate_ring_layout(3, 0.65, True), "555215d038f9eb63c6d5159ca64cf14ea4d0bf510988b253279645a236c48b8f"),
+        (lambda: generate_ring_layout(5, 0.65), "a765d6cb757759120c78d46b6b292076c04f482a9c3a7ee03542b28772aadc7b"),
+        (lambda: generate_ring_layout(5, 0.65, True), "abbee2ee477650ee2200157df0d995f72bea2c572c7e78bc1700144f2536a20d"),
+        (lambda: generate_ring_layout(9, 0.65), "d7b7b3acf5584a240c579c72fbba8ba74e3fd130002eaf52196e88edff80993e"),
+        (lambda: generate_ring_layout(9, 0.65, True), "395cea484f544dd30b4a2eb780719e9fffe8b97c36dc58444810198f69eb7574"),
+        (lambda: generate_ring_layout(15, 0.65), "f4ded1c1e37e673cecec131c2b633ea2cdcc5bc59287760d2dfc9d6d46a22a4d"),
+        (lambda: generate_ring_layout(15, 0.65, True), "8f6251a5134cabb86beece29fd3c7f9f62e5f885552e835e84e85bb0c6cbe631"),
+        (lambda: generate_ring_layout(9, 0.3), "f486d379f08d06dd0a0734f7a5bb23f4b525797e2f43e65a040622f0843c65b9"),
+        (lambda: generate_ring_layout(9, 0.9), "42e9af9dd872f373a4c5c6e4e32b5d25d6d8c0ca194f9dede61a890e02cc3332"),
+    ],
+    ids=[
+        "demo",
+        "demo-beacon",
+        "ring3",
+        "ring3-drilling",
+        "ring5",
+        "ring5-drilling",
+        "ring9",
+        "ring9-drilling",
+        "ring15",
+        "ring15-drilling",
+        "ring9-load0.3",
+        "ring9-load0.9",
+    ],
+)
+def test_generated_plants_are_pinned(build, digest):
+    text = dumps_canonical(model_to_dict(build()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_demo_goal_is_the_generated_rotation(demo_model):
+    goals = {g.id: g for g in generate_permutation_goals(demo_model)}
+    assert demo_goal_2341() == goals["goal-2341"] == GoalSpec(
+        id="goal-2341",
+        shuttle_locations=(
+            ("Shuttle-02", "PositioningUnit-03"),
+            ("Shuttle-03", "PositioningUnit-01"),
+            ("Shuttle-04", "PositioningUnit-04"),
+            ("Shuttle-01", "PositioningUnit-02"),
+        ),
+    )

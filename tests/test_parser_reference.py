@@ -7,8 +7,10 @@ seeded random ASTs as written, dressed with ``\\r\\n`` line ends, tabs and
 ``;`` comments that hold parentheses, and then each broken by a single
 token deletion, duplication or swap.
 
-The one intended difference: the reference reports an empty form ``()``
-at line 0, column 0, and the parser reports the form's ``(``.
+Two differences are intended. The reference reports an empty form ``()``
+at line 0, column 0, and the parser reports the form's ``(``. And where
+the reference reads the name of a ``(:domain)`` that has none and fails
+with ``IndexError``, the parser raises ``PddlSyntaxError`` at that form.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ def _assert_same_outcome(text: str) -> None:
             assert ours[0] == "error" and ours[1] is PddlSyntaxError, (text, ours, theirs)
             assert _POSITION_SUFFIX.sub("", ours[2]) == _POSITION_SUFFIX.sub("", theirs[2])
             assert _opens_empty_form(text, ours[3], ours[4]), (text, ours)
+        elif theirs[0] == "error" and theirs[1] is IndexError:
+            assert ours[0] == "error" and ours[1] is PddlSyntaxError, (text, ours, theirs)
+            assert ours[2].startswith(":domain needs a name"), (text, ours)
         else:
             assert ours == theirs, (text, ours, theirs)
 
@@ -135,6 +140,7 @@ def test_parser_matches_the_reference_on_hand_written_errors():
         "(define (problem p) (:domain d) (:goal (P) (Q)))",
         "(define (problem p) (:domain d) (:init ()))",
         "(define (problem p) (:domain d) (:goal ()))",
+        "(define (problem p) (:domain))",
         "(define (domain d) (:predicates ()))",
         "()",
         "(define (domain d) ())",

@@ -178,6 +178,10 @@ def test_statically_false_goal_short_circuits(backend):
     result = solve(task, backend=backend)
     assert result.status == "unsolvable"
     assert result.expanded == 0
+    # two-frontier search answers before it reads the reverse task
+    result = solve_bidirectional(task, task, backend=backend)
+    assert result.status == "unsolvable"
+    assert result.expanded == 0
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="needs the compiled backend")
