@@ -367,6 +367,9 @@ def validate_model(model: ProductionModel) -> list[Diagnostic]:
             bad(seg.id, "bad-duration", f"unknown duration unit {seg.duration.unit!r}")
         if seg.duration.value < 0:
             bad(seg.id, "bad-duration", "duration must be non-negative")
+        elif not math.isfinite(seg.duration.value * DURATION_UNITS.get(seg.duration.unit, 1)):
+            # NaN, inf, or too large to count in seconds
+            bad(seg.id, "bad-duration", "duration must be a finite number of seconds")
         spec_ids = [s.id for s in seg.equipment_specs] + [
             s.id for s in seg.material_specs
         ]

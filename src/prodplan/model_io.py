@@ -1,21 +1,41 @@
 """JSON load/save for models, goals and integrated models, plus the
 parametric layout and goal generators used by the benchmarks.
 
-Wire formats (all JSON):
+The dataclasses are the wire format. ``model.json`` holds a
+``ProductionModel``, ``goal.json`` a ``GoalSpec`` and ``integrated.json``
+an ``IntegratedModel`` (the model plus one ``OperationsRecord`` per goal).
+One reader and one writer, driven by each class's fields, convert them
+all by one rule:
 
-* ``model.json``      -- equipmentClasses / equipment / materialLots /
-                         processSegments / resourceNetworks; class-property
-                         tags ride in a comma-separated ``description`` field.
-* ``goal.json``       -- id / shuttleLocations / propertiesTrue /
-                         propertiesFalse / materialPropertiesTrue.
-* ``integrated.json`` -- model + operationsDefinitions.
+* a key is its field's name in camelCase, except that ``tags`` travel as
+  one comma-separated ``description`` (``"pddl:implicit, pddl:pre"``);
+* tuples are JSON lists and nested dataclasses JSON objects, except the
+  pair lists ``shuttle_locations`` and ``bindings``, which are JSON objects;
+* a field that is ``None`` is left out;
+* a key may be missing when its field has a default.
+
+Four fields disagree with their dataclass on whether the key may be
+missing (``_WIRE_DEFAULTS``): ``classIds``, ``duration`` (read as 0 s)
+and ``bindings`` are optional, and ``totalCost`` is required. Numbers
+are read where their field is a number (an int also where it is a
+float), and a segment parameter's value may be any JSON scalar, read as
+its text (``true``/``false`` for booleans).
+
+Messages name the element at fault. An element that holds lists or
+objects, and a goal or record document, names itself by its id. Any
+other element names the element it sits in. An item of the model's
+top-level lists is named by that list's key while its own id is missing
+or wrong.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
+import typing
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -102,361 +122,228 @@ class IntegratedModel:
 # dict <-> dataclass conversion
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
 
-def _want(obj, key, kind, where, default=None, required=False):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    if key not in obj:
-        if required:
-            raise ParseError(f"{where}: missing key {key!r}")
-        return default
-    value = obj[key]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
+# Where the wire and the dataclass disagree on whether a key may be left
+# out: the value a missing key reads as, or _REQUIRED.
+_WIRE_DEFAULTS = {
+    "class_ids": (),
+    "duration": Duration(0.0),
+    "bindings": (),
+    "total_cost": _REQUIRED,
+}
+
+# The pair lists that travel as JSON objects, and what their values must be.
+_OBJECT_PAIRS = {
+    "shuttle_locations": "shuttleLocations values must be PU ids",
+    "bindings": "binding values must be element ids",
+}
+
+# A document's name, used in messages until its own id is read.
+_DOCUMENT_NAMES = {
+    ProductionModel: "model",
+    IntegratedModel: "integrated",
+    GoalSpec: "goal",
+    OperationsRecord: "operationsRecord",
+}
+
+
+def _camel(name: str) -> str:
+    first, *rest = name.split("_")
+    return first + "".join(word.capitalize() for word in rest)
+
+
+def _check(value, kinds: tuple, key: str, where: str):
+    """``value`` if it is one of ``kinds``; an int passes for a float."""
     if float in kinds and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        return float(value)
     if not isinstance(value, kinds) or (bool not in kinds and isinstance(value, bool)):
         names = "/".join(k.__name__ for k in kinds)
         raise ParseError(f"{where}: key {key!r} must be {names}")
     return value
 
 
-def _tags_from_description(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+def _scalar(kinds: tuple):
+    return lambda value, key, where: _check(value, kinds, key, where)
 
 
-def _param_value(raw) -> str:
-    if isinstance(raw, bool):
-        return "true" if raw else "false"
-    return str(raw)
+def _read_tags(value, key, where) -> tuple[str, ...]:
+    return tuple(t.strip() for t in _check(value, (str,), key, where).split(",") if t.strip())
 
 
-def _coords(raw, where) -> tuple[float, float, float] | None:
-    if raw is None:
+def _read_parameter_value(value, key, where) -> str:
+    value = _check(value, (str, bool, int, float), key, where)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _read_coordinates(value, key, where) -> tuple[float, float, float] | None:
+    if value is None:
         return None
-    if not isinstance(raw, list) or len(raw) != 3:
+    if not isinstance(value, list) or len(value) != 3:
         raise ParseError(f"{where}: coordinates must be a [x, y, z] list")
     try:
-        return tuple(float(v) for v in raw)
+        return tuple(float(v) for v in value)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: coordinates must be numbers") from None
 
 
-def model_from_dict(data: dict) -> ProductionModel:
+def _read_strings(value, key, where) -> tuple[str, ...]:
+    value = _check(value, (list,), key, where)
+    if not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{where}: {key} must be strings")
+    return tuple(value)
+
+
+def _read_pairs(value, key, where) -> tuple[tuple[str, str], ...]:
+    out = []
+    for entry in _check(value, (list,), key, where):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(i, str) for i in entry)):
+            raise ParseError(f"{where}: {key} entries must be [id, id] pairs")
+        out.append(tuple(entry))
+    return tuple(out)
+
+
+def _object_pairs(message: str):
+    def read(value, key, where) -> tuple[tuple[str, str], ...]:
+        value = _check(value, (dict,), key, where)
+        if not all(isinstance(v, str) for v in value.values()):
+            raise ParseError(f"{where}: {message}")
+        return tuple(value.items())
+
+    return read
+
+
+def _nested(cls):
+    return lambda value, key, where: _read(cls, _check(value, (dict,), key, where), where)
+
+
+def _elements(cls, by_key: bool):
+    def read(value, key, where) -> tuple:
+        items = _check(value, (list,), key, where)
+        return tuple(_read(cls, item, key if by_key else where) for item in items)
+
+    return read
+
+
+def _codec(cls, name: str, hint, has_id: bool):
+    """(key, read, write, holds) of one field: its wire key, the reader
+    ``read(value, key, where)``, the writer (None writes the value as it
+    is) and whether its wire value is a JSON list or object."""
+    if name == "tags":
+        return "description", _read_tags, ", ".join, False
+    if cls is SegmentParameter and name == "value":
+        return "value", _read_parameter_value, None, False
+    key = _camel(name)
+    if name in _OBJECT_PAIRS:
+        return key, _object_pairs(_OBJECT_PAIRS[name]), dict, True
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None: a None is left out
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if hint in (str, bool, int, float):
+        return key, _scalar((hint,)), float if hint is float else None, False
+    if dataclasses.is_dataclass(hint):
+        return key, _nested(hint), _write, True
+    if args[-1] is not Ellipsis:  # a fixed-length tuple: the coordinates
+        return key, _read_coordinates, list, True
+    if dataclasses.is_dataclass(args[0]):
+        return key, _elements(args[0], not has_id), lambda v: [_write(x) for x in v], True
+    if args[0] is str:
+        return key, _read_strings, list, True
+    return key, _read_pairs, lambda v: [list(p) for p in v], True
+
+
+@functools.cache
+def _shape(cls):
+    """The fields of ``cls`` as (name, key, read, write, default), and
+    whether its elements name themselves by their id (their first field)."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    has_id = fields[0].name in ("id", "goal_id")
+    out = []
+    holds = False
+    for f in fields:
+        key, read, write, is_container = _codec(cls, f.name, hints[f.name], has_id)
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        out.append((f.name, key, read, write, _WIRE_DEFAULTS.get(f.name, default)))
+        holds = holds or is_container
+    return tuple(out), has_id and holds
+
+
+def _read(cls, data, where: str):
+    """The ``cls`` that ``data`` encodes; ``where`` names the element that
+    ``data`` sits in, for messages."""
+    where = _DOCUMENT_NAMES.get(cls, where)
     if not isinstance(data, dict):
-        raise ParseError("model document must be a JSON object")
+        raise ParseError(f"{where}: expected a JSON object")
+    fields, names_itself = _shape(cls)
+    values = {}
+    for name, key, read, _, default in fields:
+        if key in data:
+            values[name] = read(data[key], key, where)
+        elif default is _REQUIRED:
+            raise ParseError(f"{where}: missing key {key!r}")
+        else:
+            values[name] = default
+        if names_itself:  # the id was the first field
+            where, names_itself = values[name], False
+    return cls(**values)
 
-    classes = []
-    for raw in _want(data, "equipmentClasses", list, "model", default=[]):
-        cid = _want(raw, "id", str, "equipmentClasses", required=True)
-        props = []
-        for p in _want(raw, "properties", list, cid, default=[]):
-            props.append(
-                EquipmentClassProperty(
-                    id=_want(p, "id", str, cid, required=True),
-                    value_kind=_want(p, "valueKind", str, cid, default="boolean"),
-                    tags=_tags_from_description(_want(p, "description", str, cid, default="")),
-                )
-            )
-        classes.append(EquipmentClass(id=cid, properties=tuple(props)))
 
-    equipment = []
-    for raw in _want(data, "equipment", list, "model", default=[]):
-        eid = _want(raw, "id", str, "equipment", required=True)
-        props = []
-        for p in _want(raw, "properties", list, eid, default=[]):
-            props.append(
-                EquipmentProperty(
-                    id=_want(p, "id", str, eid, required=True),
-                    implements_class_property_id=_want(
-                        p, "implementsClassPropertyId", str, eid, required=True
-                    ),
-                    value=_want(p, "value", bool, eid, required=True),
-                )
-            )
-        class_ids = _want(raw, "classIds", list, eid, default=[])
-        if not all(isinstance(c, str) for c in class_ids):
-            raise ParseError(f"{eid}: classIds must be strings")
-        equipment.append(
-            Equipment(id=eid, class_ids=tuple(class_ids), properties=tuple(props))
-        )
+def _write(obj) -> dict:
+    out = {}
+    for name, key, _, write, _ in _shape(type(obj))[0]:
+        value = getattr(obj, name)
+        if value is not None:
+            out[key] = value if write is None else write(value)
+    return out
 
-    lots = []
-    for raw in _want(data, "materialLots", list, "model", default=[]):
-        mid = _want(raw, "id", str, "materialLots", required=True)
-        props = tuple(
-            MaterialProperty(
-                id=_want(p, "id", str, mid, required=True),
-                value=_want(p, "value", bool, mid, required=True),
-            )
-            for p in _want(raw, "properties", list, mid, default=[])
-        )
-        lots.append(
-            MaterialLot(
-                id=mid,
-                mounted_on_equipment_id=_want(raw, "mountedOnEquipmentId", str, mid),
-                properties=props,
-            )
-        )
 
-    segments = []
-    for raw in _want(data, "processSegments", list, "model", default=[]):
-        sid = _want(raw, "id", str, "processSegments", required=True)
-        dur = _want(raw, "duration", dict, sid, default={"value": 0, "unit": "s"})
-        duration = Duration(
-            value=_want(dur, "value", float, sid, required=True),
-            unit=_want(dur, "unit", str, sid, default="s"),
-        )
-        params = tuple(
-            SegmentParameter(
-                id=_want(p, "id", str, sid, required=True),
-                value=_param_value(_want(p, "value", (str, bool, int, float), sid, required=True)),
-            )
-            for p in _want(raw, "parameters", list, sid, default=[])
-        )
-        especs = []
-        for s in _want(raw, "equipmentSpecs", list, sid, default=[]):
-            spec_id = _want(s, "id", str, sid, required=True)
-            cons = tuple(
-                PropertyConstraint(
-                    class_property_id=_want(c, "classPropertyId", str, spec_id, required=True),
-                    tag=_want(c, "tag", str, spec_id, required=True),
-                    value=_want(c, "value", bool, spec_id, required=True),
-                )
-                for c in _want(s, "propertyConstraints", list, spec_id, default=[])
-            )
-            especs.append(
-                EquipmentSegmentSpecification(
-                    id=spec_id,
-                    equipment_class_id=_want(s, "equipmentClassId", str, spec_id, required=True),
-                    property_constraints=cons,
-                )
-            )
-        mspecs = []
-        for s in _want(raw, "materialSpecs", list, sid, default=[]):
-            spec_id = _want(s, "id", str, sid, required=True)
-            cons = tuple(
-                MaterialConstraint(
-                    material_property_id=_want(c, "materialPropertyId", str, spec_id, required=True),
-                    tag=_want(c, "tag", str, spec_id, required=True),
-                    value=_want(c, "value", bool, spec_id, required=True),
-                )
-                for c in _want(s, "propertyConstraints", list, spec_id, default=[])
-            )
-            mspecs.append(MaterialSegmentSpecification(id=spec_id, property_constraints=cons))
-        segments.append(
-            ProcessSegment(
-                id=sid,
-                duration=duration,
-                parameters=params,
-                equipment_specs=tuple(especs),
-                material_specs=tuple(mspecs),
-            )
-        )
+def _read_document(cls, data):
+    name = _DOCUMENT_NAMES[cls]
+    if not isinstance(data, dict):
+        raise ParseError(f"{name} document must be a JSON object")
+    return _read(cls, data, name)
 
-    networks = []
-    for raw in _want(data, "resourceNetworks", list, "model", default=[]):
-        nid = _want(raw, "id", str, "resourceNetworks", required=True)
-        conns = []
-        for c in _want(raw, "connections", list, nid, default=[]):
-            conns.append(
-                ResourceNetworkConnection(
-                    connection_type=_want(c, "connectionType", str, nid, required=True),
-                    from_id=_want(c, "fromId", str, nid, required=True),
-                    to_id=_want(c, "toId", str, nid, required=True),
-                    coordinates=_coords(c.get("coordinates"), nid),
-                )
-            )
-        networks.append(ResourceNetwork(id=nid, connections=tuple(conns)))
 
-    return ProductionModel(
-        equipment_classes=tuple(classes),
-        equipment=tuple(equipment),
-        material_lots=tuple(lots),
-        process_segments=tuple(segments),
-        resource_networks=tuple(networks),
-    )
+def model_from_dict(data: dict) -> ProductionModel:
+    return _read_document(ProductionModel, data)
 
 
 def model_to_dict(model: ProductionModel) -> dict:
-    def class_prop(p: EquipmentClassProperty) -> dict:
-        return {"id": p.id, "valueKind": p.value_kind, "description": ", ".join(p.tags)}
-
-    def connection(c: ResourceNetworkConnection) -> dict:
-        d = {"connectionType": c.connection_type, "fromId": c.from_id, "toId": c.to_id}
-        if c.coordinates is not None:
-            d["coordinates"] = list(c.coordinates)
-        return d
-
-    def lot(m: MaterialLot) -> dict:
-        d: dict = {"id": m.id}
-        if m.mounted_on_equipment_id is not None:
-            d["mountedOnEquipmentId"] = m.mounted_on_equipment_id
-        d["properties"] = [{"id": p.id, "value": p.value} for p in m.properties]
-        return d
-
-    return {
-        "equipmentClasses": [
-            {"id": c.id, "properties": [class_prop(p) for p in c.properties]}
-            for c in model.equipment_classes
-        ],
-        "equipment": [
-            {
-                "id": e.id,
-                "classIds": list(e.class_ids),
-                "properties": [
-                    {
-                        "id": p.id,
-                        "implementsClassPropertyId": p.implements_class_property_id,
-                        "value": p.value,
-                    }
-                    for p in e.properties
-                ],
-            }
-            for e in model.equipment
-        ],
-        "materialLots": [lot(m) for m in model.material_lots],
-        "processSegments": [
-            {
-                "id": s.id,
-                "duration": {"value": float(s.duration.value), "unit": s.duration.unit},
-                "parameters": [{"id": p.id, "value": p.value} for p in s.parameters],
-                "equipmentSpecs": [
-                    {
-                        "id": sp.id,
-                        "equipmentClassId": sp.equipment_class_id,
-                        "propertyConstraints": [
-                            {
-                                "classPropertyId": c.class_property_id,
-                                "tag": c.tag,
-                                "value": c.value,
-                            }
-                            for c in sp.property_constraints
-                        ],
-                    }
-                    for sp in s.equipment_specs
-                ],
-                "materialSpecs": [
-                    {
-                        "id": sp.id,
-                        "propertyConstraints": [
-                            {
-                                "materialPropertyId": c.material_property_id,
-                                "tag": c.tag,
-                                "value": c.value,
-                            }
-                            for c in sp.property_constraints
-                        ],
-                    }
-                    for sp in s.material_specs
-                ],
-            }
-            for s in model.process_segments
-        ],
-        "resourceNetworks": [
-            {"id": n.id, "connections": [connection(c) for c in n.connections]}
-            for n in model.resource_networks
-        ],
-    }
+    return _write(model)
 
 
 def goal_from_dict(data: dict) -> GoalSpec:
-    if not isinstance(data, dict):
-        raise ParseError("goal document must be a JSON object")
-    gid = _want(data, "id", str, "goal", required=True)
+    goal = _read_document(GoalSpec, data)
     # the id names the goal's plan, problem and solver files
-    if gid in ("", ".", "..") or "/" in gid or "\\" in gid:
-        raise ParseError(f"goal id {gid!r} cannot name a file")
-
-    def pairs(key: str) -> tuple[tuple[str, str], ...]:
-        out = []
-        for entry in _want(data, key, list, gid, default=[]):
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(i, str) for i in entry)
-            ):
-                raise ParseError(f"{gid}: {key} entries must be [id, id] pairs")
-            out.append(tuple(entry))
-        return tuple(out)
-
-    locations = _want(data, "shuttleLocations", dict, gid, default={})
-    if not all(isinstance(v, str) for v in locations.values()):
-        raise ParseError(f"{gid}: shuttleLocations values must be PU ids")
-    return GoalSpec(
-        id=gid,
-        shuttle_locations=tuple(locations.items()),
-        properties_true=pairs("propertiesTrue"),
-        properties_false=pairs("propertiesFalse"),
-        material_properties_true=pairs("materialPropertiesTrue"),
-    )
+    if goal.id in ("", ".", "..") or "/" in goal.id or "\\" in goal.id:
+        raise ParseError(f"goal id {goal.id!r} cannot name a file")
+    return goal
 
 
 def goal_to_dict(goal: GoalSpec) -> dict:
-    return {
-        "id": goal.id,
-        "shuttleLocations": dict(goal.shuttle_locations),
-        "propertiesTrue": [list(p) for p in goal.properties_true],
-        "propertiesFalse": [list(p) for p in goal.properties_false],
-        "materialPropertiesTrue": [list(p) for p in goal.material_properties_true],
-    }
-
-
-def record_to_dict(record: OperationsRecord) -> dict:
-    return {
-        "goalId": record.goal_id,
-        "solvable": record.solvable,
-        "operations": [
-            {
-                "sequenceIndex": op.sequence_index,
-                "segmentId": op.segment_id,
-                "bindings": dict(op.bindings),
-                "cost": op.cost,
-            }
-            for op in record.operations
-        ],
-        "totalCost": record.total_cost,
-    }
+    return _write(goal)
 
 
 def record_from_dict(data: dict) -> OperationsRecord:
-    where = _want(data, "goalId", str, "operationsRecord", required=True)
-    ops = []
-    for raw in _want(data, "operations", list, where, default=[]):
-        bindings = _want(raw, "bindings", dict, where, default={})
-        if not all(isinstance(v, str) for v in bindings.values()):
-            raise ParseError(f"{where}: binding values must be element ids")
-        ops.append(
-            Operation(
-                sequence_index=_want(raw, "sequenceIndex", int, where, required=True),
-                segment_id=_want(raw, "segmentId", str, where, required=True),
-                bindings=tuple(bindings.items()),
-                cost=_want(raw, "cost", int, where, required=True),
-            )
-        )
-    return OperationsRecord(
-        goal_id=where,
-        solvable=_want(data, "solvable", bool, where, required=True),
-        operations=tuple(ops),
-        total_cost=_want(data, "totalCost", int, where, required=True),
-    )
+    # no document check: a record that is not an object gets the message it
+    # gets inside integrated.json
+    return _read(OperationsRecord, data, "operationsRecord")
 
 
-def integrated_to_dict(im: IntegratedModel) -> dict:
-    return {
-        "model": model_to_dict(im.model),
-        "operationsDefinitions": [record_to_dict(r) for r in im.operations_definitions],
-    }
+def record_to_dict(record: OperationsRecord) -> dict:
+    return _write(record)
 
 
 def integrated_from_dict(data: dict) -> IntegratedModel:
-    if not isinstance(data, dict):
-        raise ParseError("integrated document must be a JSON object")
-    model = model_from_dict(_want(data, "model", dict, "integrated", required=True))
-    records = tuple(
-        record_from_dict(r)
-        for r in _want(data, "operationsDefinitions", list, "integrated", default=[])
-    )
-    return IntegratedModel(model=model, operations_definitions=records)
+    return _read_document(IntegratedModel, data)
+
+
+def integrated_to_dict(im: IntegratedModel) -> dict:
+    return _write(im)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +471,7 @@ def check_goal(goal: GoalSpec, model: ProductionModel) -> list[str]:
     class_property_ids = {
         p.id for c in model.equipment_classes for p in c.properties
     }
+    shuttles_to: dict[str, list[str]] = {}
     for shuttle, pu in goal.shuttle_locations:
         equip = model.equipment_by_id.get(shuttle)
         if equip is None or SHUTTLE_CLASS not in equip.class_ids:
@@ -591,6 +479,13 @@ def check_goal(goal: GoalSpec, model: ProductionModel) -> list[str]:
         target = model.equipment_by_id.get(pu)
         if target is None or POSITIONING_UNIT_CLASS not in target.class_ids:
             problems.append(f"{pu!r} is not a known positioning unit")
+        shuttles_to.setdefault(pu, []).append(shuttle)
+    # one PU holds one shuttle, so such a goal is unsolvable; search would
+    # only prove it by exhausting the plant
+    for pu, shuttles in shuttles_to.items():
+        if len(shuttles) > 1:
+            names = ", ".join(map(repr, shuttles))
+            problems.append(f"{len(shuttles)} shuttles target {pu!r}: {names}")
     for eid, cpid in goal.properties_true + goal.properties_false:
         equip = model.equipment_by_id.get(eid)
         if equip is None:

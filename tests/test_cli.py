@@ -332,6 +332,31 @@ def test_pipeline_refuses_a_goal_id_outside_out(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_pipeline_refuses_two_shuttles_sent_to_one_pu(demo_files, tmp_path, capsys):
+    model_path, _ = demo_files
+    (first, pu), (second, _), *rest = demo_goal_2341().shuttle_locations
+    goal = GoalSpec(id="crowded", shuttle_locations=((first, pu), (second, pu), *rest))
+    goal_path = tmp_path / "crowded.json"
+    save_goal_model(goal, goal_path)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: 1 validation error(s): 2 shuttles target {pu!r}: {first!r}, {second!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+def test_validate_reports_a_duration_that_is_not_finite(demo_files, tmp_path, capsys, value):
+    text = demo_files[0].read_text()
+    assert text.count('"value": 10.0') == 1
+    model_path = tmp_path / "endless.json"
+    model_path.write_text(text.replace('"value": 10.0', f'"value": {value}'))
+    assert main(["validate", "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "[bad-duration] MoveShuttle: duration must be a finite number of seconds\n"
+
+
 def test_permutations_sweep(demo_files, tmp_path, capsys):
     model_path, _ = demo_files
     out = tmp_path / "out"

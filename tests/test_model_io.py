@@ -26,16 +26,23 @@ from prodplan import (
 )
 from prodplan.errors import InvalidParameter, ParseError, ValidationError
 from prodplan.model_io import (
+    IntegratedModel,
+    Operation,
+    OperationsRecord,
+    check_goal,
     dumps_canonical,
     goal_from_dict,
     goal_to_dict,
+    integrated_from_dict,
     integrated_to_dict,
     model_from_dict,
     model_to_dict,
     permutation_label,
+    record_from_dict,
+    record_to_dict,
     shuttle_count_for,
 )
-from prodplan.operations import merge, plan_to_operations
+from prodplan.operations import merge, plan_to_operations, unsolvable_record
 
 
 def test_model_round_trip(demo_model, tmp_path):
@@ -57,6 +64,29 @@ def test_goal_round_trip(tmp_path, demo_model):
     path = tmp_path / "goal.json"
     save_goal_model(goal, path)
     assert load_goal_model(path, demo_model) == goal
+
+
+def test_goal_check_names_a_pu_that_several_shuttles_target(tmp_path):
+    model = generate_ring_layout(9, 0.65)
+    (first, pu), (second, _), *rest = generate_reverse_goal(model).shuttle_locations
+    goal = GoalSpec(id="crowded", shuttle_locations=((first, pu), (second, pu), *rest))
+    assert check_goal(goal, model) == [f"2 shuttles target {pu!r}: {first!r}, {second!r}"]
+    path = tmp_path / "goal.json"
+    save_goal_model(goal, path)
+    with pytest.raises(ValidationError):
+        load_goal_model(path, model)
+
+
+def test_generated_goals_pass_the_goal_check(demo_model):
+    drilling = generate_ring_layout(7, 0.65, with_robot_and_boards=True)
+    ring = generate_ring_layout(9, 0.65)
+    cases = [(demo_model, g) for g in generate_permutation_goals(demo_model)]
+    cases += [(ring, generate_reverse_goal(ring)), (drilling, generate_reverse_goal(drilling))]
+    cases += [(drilling, generate_drill_goal(drilling))]
+    small = generate_ring_layout(5, 0.65, with_robot_and_boards=True)
+    cases += [(small, g) for g in generate_permutation_goals(small)]
+    for model, goal in cases:
+        assert check_goal(goal, model) == []
 
 
 def test_goal_check_rejects_unknown_ids(tmp_path, demo_model):
@@ -343,3 +373,164 @@ def test_demo_goal_is_the_generated_rotation(demo_model):
             ("Shuttle-01", "PositioningUnit-02"),
         ),
     )
+
+
+def _solved_record(model, goal):
+    domain, report = derive_domain(model)
+    result = solve(ground(domain, derive_problem(model, goal, report)))
+    return plan_to_operations(result.plan, report, goal.id)
+
+
+def _documents():
+    """(name, to_dict, from_dict, value) for every kind of document."""
+    demo = build_demo_model()
+    drilling = generate_ring_layout(7, 0.65, with_robot_and_boards=True)
+    solved = _solved_record(demo, demo_goal_2341())
+    unsolvable = unsolvable_record("goal-none")
+    model = (model_to_dict, model_from_dict)
+    goal = (goal_to_dict, goal_from_dict)
+    record = (record_to_dict, record_from_dict)
+    integrated = (integrated_to_dict, integrated_from_dict)
+    goals = [
+        *generate_permutation_goals(demo),
+        generate_reverse_goal(generate_ring_layout(9, 0.65)),
+        generate_drill_goal(drilling),
+    ]
+    return [
+        ("demo", *model, demo),
+        ("demo-beacon", *model, build_demo_model(with_switchable_property=True)),
+        ("drilling-ring7", *model, drilling),
+        *((g.id, *goal, g) for g in goals),
+        ("record-solved", *record, solved),
+        ("record-unsolvable", *record, unsolvable),
+        ("integrated", *integrated, merge(demo, [solved, unsolvable])),
+    ]
+
+
+_DOCUMENTS = _documents()
+
+
+@pytest.mark.parametrize(
+    "to_dict,from_dict,value", [d[1:] for d in _DOCUMENTS], ids=[d[0] for d in _DOCUMENTS]
+)
+def test_every_document_kind_round_trips(to_dict, from_dict, value):
+    data = to_dict(value)
+    assert from_dict(data) == value
+    assert from_dict(json.loads(dumps_canonical(data))) == value
+
+
+# The reader's messages, one malformed document per row: the document kind,
+# the path of the edited value in a valid document (an empty path replaces
+# the whole document), the new value (or _DELETE) and the exact message of
+# the ParseError it raises.
+_DELETE = object()
+_MALFORMED = [
+    ('model', (), [], 'model document must be a JSON object'),
+    ('goal', (), 'goal', 'goal document must be a JSON object'),
+    ('integrated', (), 7, 'integrated document must be a JSON object'),
+    ('record', (), ['g'], 'operationsRecord: expected a JSON object'),
+    ('model', ('equipment',), {}, "model: key 'equipment' must be list"),
+    ('model', ('resourceNetworks',), 'x', "model: key 'resourceNetworks' must be list"),
+    ('model', ('equipmentClasses', 0, 'id'), _DELETE, "equipmentClasses: missing key 'id'"),
+    ('model', ('equipment', 0, 'id'), 7, "equipment: key 'id' must be str"),
+    ('model', ('materialLots', 0), 7, 'materialLots: expected a JSON object'),
+    ('model', ('processSegments', 0, 'id'), _DELETE, "processSegments: missing key 'id'"),
+    ('model', ('resourceNetworks', 0, 'id'), None, "resourceNetworks: key 'id' must be str"),
+    ('model', ('equipmentClasses', 0, 'properties'), {}, "PositioningUnit: key 'properties' must be list"),
+    ('model', ('equipmentClasses', 0, 'properties', 0), 'p', 'PositioningUnit: expected a JSON object'),
+    ('model', ('equipmentClasses', 0, 'properties', 0, 'id'), _DELETE, "PositioningUnit: missing key 'id'"),
+    ('model', ('equipmentClasses', 0, 'properties', 0, 'valueKind'), 7, "PositioningUnit: key 'valueKind' must be str"),
+    ('model', ('equipmentClasses', 0, 'properties', 0, 'description'), ['pddl:implicit'], "PositioningUnit: key 'description' must be str"),
+    ('model', ('equipment', 0, 'properties', 0, 'implementsClassPropertyId'), _DELETE, "PositioningUnit-01: missing key 'implementsClassPropertyId'"),
+    ('model', ('equipment', 0, 'properties', 0, 'value'), 'true', "PositioningUnit-01: key 'value' must be bool"),
+    ('model', ('equipment', 0, 'properties', 0, 'value'), 1, "PositioningUnit-01: key 'value' must be bool"),
+    ('model', ('equipment', 0, 'classIds'), 'PositioningUnit', "PositioningUnit-01: key 'classIds' must be list"),
+    ('model', ('equipment', 0, 'classIds'), [3], 'PositioningUnit-01: classIds must be strings'),
+    ('model', ('equipment', 0, 'classIds'), ['PositioningUnit', None], 'PositioningUnit-01: classIds must be strings'),
+    ('model', ('materialLots', 0, 'mountedOnEquipmentId'), None, "Board-01: key 'mountedOnEquipmentId' must be str"),
+    ('model', ('materialLots', 0, 'properties', 0, 'value'), _DELETE, "Board-01: missing key 'value'"),
+    ('model', ('materialLots', 0, 'properties', 0, 'id'), 7, "Board-01: key 'id' must be str"),
+    ('model', ('processSegments', 0, 'duration'), 10, "MoveShuttle: key 'duration' must be dict"),
+    ('model', ('processSegments', 0, 'duration', 'value'), '10', "MoveShuttle: key 'value' must be float"),
+    ('model', ('processSegments', 0, 'duration', 'value'), True, "MoveShuttle: key 'value' must be float"),
+    ('model', ('processSegments', 0, 'duration', 'value'), _DELETE, "MoveShuttle: missing key 'value'"),
+    ('model', ('processSegments', 0, 'duration', 'unit'), 1, "MoveShuttle: key 'unit' must be str"),
+    ('model', ('processSegments', 0, 'parameters', 0, 'value'), [], "MoveShuttle: key 'value' must be str/bool/int/float"),
+    ('model', ('processSegments', 0, 'parameters', 0, 'value'), None, "MoveShuttle: key 'value' must be str/bool/int/float"),
+    ('model', ('processSegments', 0, 'parameters', 0, 'id'), _DELETE, "MoveShuttle: missing key 'id'"),
+    ('model', ('processSegments', 0, 'equipmentSpecs', 0, 'id'), 7, "MoveShuttle: key 'id' must be str"),
+    ('model', ('processSegments', 0, 'equipmentSpecs', 0, 'equipmentClassId'), _DELETE, "SHUTTLE: missing key 'equipmentClassId'"),
+    ('model', ('processSegments', 0, 'equipmentSpecs', 1, 'propertyConstraints', 0, 'tag'), 7, "FROM: key 'tag' must be str"),
+    ('model', ('processSegments', 0, 'equipmentSpecs', 1, 'propertyConstraints', 0, 'value'), 'false', "FROM: key 'value' must be bool"),
+    ('model', ('processSegments', 0, 'equipmentSpecs', 2, 'propertyConstraints', 1, 'classPropertyId'), _DELETE, "TO: missing key 'classPropertyId'"),
+    ('model', ('processSegments', 1, 'materialSpecs', 0, 'id'), _DELETE, "DrillBoard: missing key 'id'"),
+    ('model', ('processSegments', 1, 'materialSpecs', 0, 'propertyConstraints', 0, 'materialPropertyId'), [], "BOARD: key 'materialPropertyId' must be str"),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'fromId'), _DELETE, "TransportNetwork: missing key 'fromId'"),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'connectionType'), False, "TransportNetwork: key 'connectionType' must be str"),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'coordinates'), [1, 2], 'TransportNetwork: coordinates must be a [x, y, z] list'),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'coordinates'), {'x': 1}, 'TransportNetwork: coordinates must be a [x, y, z] list'),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'coordinates'), [1, 'a', 2], 'TransportNetwork: coordinates must be numbers'),
+    ('model', ('resourceNetworks', 0, 'connections', 0, 'coordinates'), [1, None, 2], 'TransportNetwork: coordinates must be numbers'),
+    ('goal', ('id',), _DELETE, "goal: missing key 'id'"),
+    ('goal', ('id',), 7, "goal: key 'id' must be str"),
+    ('goal', ('id',), '..', "goal id '..' cannot name a file"),
+    ('goal', ('shuttleLocations',), [['Shuttle-01', 'PositioningUnit-02']], "goal-2341: key 'shuttleLocations' must be dict"),
+    ('goal', ('shuttleLocations', 'Shuttle-01'), 2, 'goal-2341: shuttleLocations values must be PU ids'),
+    ('goal', ('propertiesTrue',), [['PositioningUnit-01']], 'goal-2341: propertiesTrue entries must be [id, id] pairs'),
+    ('goal', ('propertiesFalse',), [[1, 2]], 'goal-2341: propertiesFalse entries must be [id, id] pairs'),
+    ('goal', ('materialPropertiesTrue',), [['Board-01', None]], 'goal-2341: materialPropertiesTrue entries must be [id, id] pairs'),
+    ('goal', ('propertiesTrue',), 'x', "goal-2341: key 'propertiesTrue' must be list"),
+    ('record', ('goalId',), _DELETE, "operationsRecord: missing key 'goalId'"),
+    ('record', ('goalId',), 7, "operationsRecord: key 'goalId' must be str"),
+    ('record', ('solvable',), 'yes', "goal-2341: key 'solvable' must be bool"),
+    ('record', ('operations',), {}, "goal-2341: key 'operations' must be list"),
+    ('record', ('operations', 0), 7, 'goal-2341: expected a JSON object'),
+    ('record', ('operations', 0, 'sequenceIndex'), 0.5, "goal-2341: key 'sequenceIndex' must be int"),
+    ('record', ('operations', 0, 'cost'), True, "goal-2341: key 'cost' must be int"),
+    ('record', ('operations', 0, 'segmentId'), _DELETE, "goal-2341: missing key 'segmentId'"),
+    ('record', ('operations', 0, 'bindings'), [['SHUTTLE', 'Shuttle-01']], "goal-2341: key 'bindings' must be dict"),
+    ('record', ('operations', 0, 'bindings', 'SHUTTLE'), 1, 'goal-2341: binding values must be element ids'),
+    ('record', ('totalCost',), _DELETE, "goal-2341: missing key 'totalCost'"),
+    ('record', ('totalCost',), 50.0, "goal-2341: key 'totalCost' must be int"),
+    ('integrated', ('model',), _DELETE, "integrated: missing key 'model'"),
+    ('integrated', ('model',), [], "integrated: key 'model' must be dict"),
+    ('integrated', ('operationsDefinitions',), {}, "integrated: key 'operationsDefinitions' must be list"),
+    ('integrated', ('operationsDefinitions', 0), 7, 'operationsRecord: expected a JSON object'),
+    ('integrated', ('operationsDefinitions', 0, 'goalId'), _DELETE, "operationsRecord: missing key 'goalId'"),
+    ('integrated', ('operationsDefinitions', 0, 'operations', 0, 'bindings', 'FROM'), None, 'goal-2341: binding values must be element ids'),
+    ('integrated', ('model', 'equipment', 0, 'id'), 7, "equipment: key 'id' must be str"),
+    ('integrated', ('model', 'equipment', 0, 'classIds'), [7], 'PositioningUnit-01: classIds must be strings'),
+    ('integrated', ('model', 'processSegments', 0, 'duration', 'value'), 'x', "MoveShuttle: key 'value' must be float"),
+    ('integrated', ('model', 'resourceNetworks', 0, 'connections', 0, 'coordinates'), 'here', 'TransportNetwork: coordinates must be a [x, y, z] list'),
+]
+
+
+def _valid_documents() -> dict:
+    model = generate_ring_layout(3, 0.65, with_robot_and_boards=True)
+    bindings = (("SHUTTLE", "Shuttle-01"), ("FROM", "PositioningUnit-03"), ("TO", "PositioningUnit-05"))
+    record = OperationsRecord("goal-2341", True, (Operation(0, "MoveShuttle", bindings, 10),), 10)
+    return {
+        "model": (model_to_dict(model), model_from_dict),
+        "goal": (goal_to_dict(demo_goal_2341()), goal_from_dict),
+        "record": (record_to_dict(record), record_from_dict),
+        "integrated": (integrated_to_dict(IntegratedModel(model, (record,))), integrated_from_dict),
+    }
+
+
+@pytest.mark.parametrize("kind,path,value,message", _MALFORMED)
+def test_reader_messages_are_pinned(kind, path, value, message):
+    data, from_dict = _valid_documents()[kind]
+    if not path:
+        data = value
+    else:
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with pytest.raises(ParseError) as err:
+        from_dict(data)
+    assert type(err.value) is ParseError
+    assert str(err.value) == message
