@@ -34,12 +34,7 @@ from .pddl import (
     write_problem,
 )
 from .planner import backend_name, ground, solve, validate_plan
-from .planner.search import (
-    BIDIRECTIONAL_NODE_LIMIT,
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_TIME_LIMIT,
-    solve_bidirectional,
-)
+from .planner.search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
 
 CSV_FIELDS = [
     "size",
@@ -68,6 +63,17 @@ def _non_negative(kind):
     return convert
 
 
+def _sizes(text):
+    """An argparse type for a non-empty comma-separated list of integers."""
+    try:
+        sizes = [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return sizes
+
+
 def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     group = parser.add_argument_group("solver")
     group.add_argument(
@@ -91,10 +97,9 @@ def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     group.add_argument(
         "--node-limit",
         type=_non_negative(int),
-        default=None,
+        default=DEFAULT_NODE_LIMIT,
         help=f"state cap before giving up with memout, 0 for none (default: "
-        f"{DEFAULT_NODE_LIMIT} single-frontier, {BIDIRECTIONAL_NODE_LIMIT} "
-        f"two-frontier greedy)",
+        f"{DEFAULT_NODE_LIMIT:,})",
     )
     group.add_argument(
         "--backend",
@@ -124,21 +129,14 @@ class _Version(argparse.Action):
         parser.exit()
 
 
-def _node_limit(args, default: int) -> int:
-    # 0 is a value (no cap), not a missing option
-    return default if args.node_limit is None else args.node_limit
-
-
-def _plan(args, domain, problem, source=None, workdir=None):
+def _plan(args, domain, problem, workdir=None):
     """Ground, search and validate one problem; the one planning path.
 
-    ``source`` is the (model, goal, report) the problem was derived from.
-    With it, greedy embedded search derives the reverse problem and runs
-    two frontiers. ``workdir`` is where ``--solver-cmd`` runs. Every plan
-    is simulated on the forward task, which also fills in a missing cost.
+    The search is ``solve`` or, with ``--solver-cmd``, ``solve_external``
+    run in ``workdir``. Every plan is simulated on the task, which also
+    fills in a missing cost.
     """
     task = ground(domain, problem)
-    backend = None if args.backend == "auto" else args.backend
     if args.solver_cmd:
         from .planner.external import solve_external
 
@@ -150,28 +148,14 @@ def _plan(args, domain, problem, source=None, workdir=None):
             time_limit=args.timeout,
         )
     else:
-        reverse = None
-        if args.mode == "greedy" and source is not None:
-            from .transform import derive_reverse_problem
-
-            reverse = derive_reverse_problem(*source)
-        if reverse is not None:
-            result = solve_bidirectional(
-                task,
-                ground(domain, reverse),
-                time_limit=args.timeout,
-                node_limit=_node_limit(args, BIDIRECTIONAL_NODE_LIMIT),
-                backend=backend,
-            )
-        else:
-            result = solve(
-                task,
-                mode=args.mode,
-                heuristic=args.heuristic,
-                time_limit=args.timeout,
-                node_limit=_node_limit(args, DEFAULT_NODE_LIMIT),
-                backend=backend,
-            )
+        result = solve(
+            task,
+            mode=args.mode,
+            heuristic=args.heuristic,
+            time_limit=args.timeout,
+            node_limit=args.node_limit,
+            backend=args.backend,
+        )
     if result.plan is not None:
         cost = validate_plan(task, result.plan)
         if result.plan.cost is None:
@@ -222,7 +206,6 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
         repeat(args),
         repeat(domain),
         problems,
-        [(model, goal, report) for goal in goals],
         [out / "solver" / goal.id for goal in goals],
     )
     if parallel > 1:
@@ -355,16 +338,15 @@ def cmd_bench(args) -> int:
     from .model_io import generate_drill_goal, generate_reverse_goal, generate_ring_layout
     from .transform import derive_domain, derive_problem
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rows = []
-    for size in sizes:
+    for size in args.sizes:
         model = generate_ring_layout(
             size, args.load_factor, with_robot_and_boards=args.drilling
         )
         goal = generate_drill_goal(model) if args.drilling else generate_reverse_goal(model)
         domain, report = derive_domain(model)
         problem = derive_problem(model, goal, report)
-        result = _plan(args, domain, problem, (model, goal, report))
+        result = _plan(args, domain, problem)
         row = _csv_row(model, args.mode, result)
         rows.append(row)
         label = f"size-{size} ({row['shuttles']} shuttles, {args.mode})"
@@ -404,7 +386,6 @@ def cmd_gen_layout(args) -> int:
 def cmd_solve(args) -> int:
     domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
     problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    # plain PDDL input carries no model, so no reverse derivation here
     result = _plan(args, domain, problem)
     print(_report_line(problem.name, result))
     if result.solved and args.plan_out:
@@ -461,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_permutations)
 
     p = sub.add_parser("bench", help="scaling run over generated ring layouts")
-    p.add_argument("--sizes", default="5,7,9", help="comma-separated PU counts")
+    p.add_argument(
+        "--sizes", type=_sizes, default="5,7,9", help="comma-separated PU counts"
+    )
     p.add_argument("--load-factor", type=float, default=0.65)
     p.add_argument("--drilling", action="store_true", help="add robot, boards and DrillBoard")
     p.add_argument("--csv", help="write result rows to this CSV file")

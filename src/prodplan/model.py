@@ -271,6 +271,9 @@ def validate_model(model: ProductionModel) -> list[Diagnostic]:
     An empty list means the model is valid. Diagnostics never raise; loaders
     wrap them in ValidationError.
     """
+    # imported here, so that building and saving models never loads the planner
+    from .planner.grounding import MAX_ACTION_COST
+
     diags: list[Diagnostic] = []
 
     def bad(element_id: str, rule: str, message: str) -> None:
@@ -365,11 +368,14 @@ def validate_model(model: ProductionModel) -> list[Diagnostic]:
     for seg in model.process_segments:
         if seg.duration.unit not in DURATION_UNITS:
             bad(seg.id, "bad-duration", f"unknown duration unit {seg.duration.unit!r}")
+        seconds = seg.duration.value * DURATION_UNITS.get(seg.duration.unit, 1)
         if seg.duration.value < 0:
             bad(seg.id, "bad-duration", "duration must be non-negative")
-        elif not math.isfinite(seg.duration.value * DURATION_UNITS.get(seg.duration.unit, 1)):
+        elif not math.isfinite(seconds):
             # NaN, inf, or too large to count in seconds
             bad(seg.id, "bad-duration", "duration must be a finite number of seconds")
+        elif round(seconds) > MAX_ACTION_COST:
+            bad(seg.id, "bad-duration", f"duration must be at most {MAX_ACTION_COST} s")
         spec_ids = [s.id for s in seg.equipment_specs] + [
             s.id for s in seg.material_specs
         ]

@@ -36,8 +36,6 @@ goal names no fluent outside the goal-free task, the task shares that
 task's fluents, init and actions. Many goals against one model, such as
 the 23 demo permutations, so pay the full cost once: on the demo a miss
 takes about 2 ms and a hit under 0.1 ms (2-core Xeon, Python 3.11).
-Greedy planning from a model grounds the goal's reverse problem too,
-whose init differs, so it replaces the entry and the next goal misses.
 """
 
 from __future__ import annotations
@@ -62,6 +60,13 @@ from ..pddl.ast import (
     PddlProblem,
     When,
 )
+
+# The largest cost of one ground action, about 68 years in seconds. A g
+# value, hmax value or pattern table entry sums the costs along a path of
+# distinct states, fluents or table entries, which the compiled core
+# numbers with 32-bit ints, so no such sum of costs up to this bound
+# reaches the cores' 2**62 sentinels (DEAD_END, UNREACHED) or overflows.
+MAX_ACTION_COST = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -503,12 +508,12 @@ class _Grounder:
                     raise UnsupportedFeature(
                         f"only (total-cost) can be increased, not ({item.function})"
                     )
-                if item.amount < 0:
-                    raise UnsupportedFeature(
-                        f"(increase (total-cost) {item.amount}): "
-                        "costs must not be negative"
-                    )
                 cost += item.amount
+                if item.amount < 0 or cost > MAX_ACTION_COST:
+                    raise UnsupportedFeature(
+                        f"(increase (total-cost) {item.amount}): an action's "
+                        f"cost must be from 0 to {MAX_ACTION_COST}"
+                    )
             elif isinstance(item, When):
                 parts.append(
                     self._effect_part(

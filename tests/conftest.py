@@ -13,6 +13,7 @@ from prodplan import (
     derive_problem,
     ground,
 )
+from prodplan.planner import grounding
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,20 @@ def demo_task(demo_model, demo_domain):
     domain, report = demo_domain
     problem = derive_problem(demo_model, demo_goal_2341(), report)
     return ground(domain, problem)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The problem names of the _Grounder instances built while the test runs."""
+    built = []
+
+    class Counting(grounding._Grounder):
+        def __init__(self, domain, problem):
+            built.append(problem.name)
+            super().__init__(domain, problem)
+
+    monkeypatch.setattr(grounding, "_Grounder", Counting)
+    return built
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.model_io import (
     GoalSpec,
     generate_permutation_goals,
+    generate_reverse_goal,
+    generate_ring_layout,
     goal_to_dict,
     load_goal_model,
     load_integrated_model,
@@ -23,8 +25,8 @@ from prodplan.model_io import (
     save_production_model,
 )
 from prodplan.pddl import parse_domain, parse_plan, parse_problem
+from prodplan.planner import available_backends, solve
 from prodplan.planner.grounding import ground
-from prodplan.planner.search import validate_plan
 from prodplan.transform import derive_domain, derive_problem
 
 
@@ -206,31 +208,24 @@ def test_pipeline_emitted_pddl_round_trip(demo_files, tmp_path):
     ).read_bytes()
 
 
-def test_pipeline_greedy_uses_two_frontiers(demo_files, tmp_path, capsys):
-    model_path, goal_path = demo_files
-    out = tmp_path / "out"
-    assert (
-        main(
-            [
-                "pipeline",
-                "--model",
-                str(model_path),
-                "--goal",
-                str(goal_path),
-                "--out",
-                str(out),
-                "--mode",
-                "greedy",
-            ]
-        )
-        == 0
-    )
-    assert "goal-2341: solved" in capsys.readouterr().out
-    plan = parse_plan((out / "plan-goal-2341.txt").read_text())
+def test_pipeline_greedy_plans_what_solve_plans(tmp_path):
+    model_path, goal_path = tmp_path / "ring.json", tmp_path / "goal.json"
+    save_production_model(generate_ring_layout(7, 0.65), model_path)
     model = load_production_model(model_path)
+    goal = generate_reverse_goal(model)
+    save_goal_model(goal, goal_path)
     domain, report = derive_domain(model)
-    task = ground(domain, derive_problem(model, demo_goal_2341(), report))
-    assert validate_plan(task, plan) == plan.cost
+    task = ground(domain, derive_problem(model, goal, report))
+    argv = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    for backend in available_backends():
+        expected = solve(task, mode="greedy", backend=backend)
+        assert expected.solved
+        for extra in ([], ["--use-emitted"]):
+            out = tmp_path / backend / "".join(extra)
+            argv_out = argv + ["--out", str(out), "--mode", "greedy", "--backend", backend]
+            assert main(argv_out + extra) == 0
+            plan = parse_plan((out / f"plan-{goal.id}.txt").read_text())
+            assert (plan.steps, plan.cost) == (expected.plan.steps, expected.cost)
 
 
 def test_pipeline_with_external_solver(
@@ -346,6 +341,40 @@ def test_pipeline_refuses_two_shuttles_sent_to_one_pu(demo_files, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["2147483648", "2147483647.5", "4e18", "1e19"])
+def test_validate_reports_a_duration_above_the_cost_bound(demo_files, tmp_path, capsys, value):
+    text = demo_files[0].read_text()
+    assert text.count('"value": 10.0') == 1
+    model_path = tmp_path / "long.json"
+    model_path.write_text(text.replace('"value": 10.0', '"value": 2147483647'))
+    assert main(["validate", "--model", str(model_path)]) == 0
+    model_path.write_text(text.replace('"value": 10.0', f'"value": {value}'))
+    capsys.readouterr()
+    assert main(["validate", "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "[bad-duration] MoveShuttle: duration must be at most 2147483647 s\n"
+
+
+def test_solve_refuses_a_cost_above_the_bound(tmp_path, capsys):
+    domain = tmp_path / "domain.pddl"
+    problem = tmp_path / "problem.pddl"
+    domain.write_text(
+        "(define (domain m) (:requirements :action-costs) (:types T)"
+        " (:predicates (Up ?x - T)) (:functions (total-cost))"
+        " (:action Raise :parameters (?x - T)"
+        "   :effect (and (Up ?x) (increase (total-cost) 2147483648))))"
+    )
+    problem.write_text(
+        "(define (problem p) (:domain m) (:objects a - T) (:init) (:goal (Up a))"
+        " (:metric minimize (total-cost)))"
+    )
+    assert main(["solve", "--domain", str(domain), "--problem", str(problem)]) == 1
+    assert capsys.readouterr().err == (
+        "error: (increase (total-cost) 2147483648): "
+        "an action's cost must be from 0 to 2147483647\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
 def test_validate_reports_a_duration_that_is_not_finite(demo_files, tmp_path, capsys, value):
     text = demo_files[0].read_text()
@@ -396,6 +425,13 @@ def test_permutations_sweep(demo_files, tmp_path, capsys):
     }
     assert all(row["status"] == "solved" for row in rows)
     assert all(int(row["planCostSeconds"]) % 10 == 0 for row in rows)
+
+
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+def test_permutations_ground_the_model_once(demo_files, tmp_path, constructions, mode):
+    argv = ["permutations", "--model", str(demo_files[0]), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--mode", mode]) == 0
+    assert len(constructions) == 1
 
 
 def test_permutations_parallel_matches_serial(demo_files, tmp_path):
@@ -483,18 +519,26 @@ def test_negative_limits_are_usage_errors(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "mode, searcher", [("optimal", "solve"), ("greedy", "solve_bidirectional")]
-)
-def test_node_limit_zero_means_no_cap(monkeypatch, tmp_path, mode, searcher):
-    real = getattr(cli, searcher)
+@pytest.mark.parametrize("sizes", ["5,x", "", " , "])
+def test_bad_sizes_are_a_usage_error(sizes, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--sizes", sizes])
+    assert err.value.code == 2
+    assert f"argument --sizes: expected comma-separated integers, got {sizes!r}" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+def test_node_limit_zero_means_no_cap(monkeypatch, tmp_path, mode):
+    real = cli.solve
     caps = []
 
     def spy(*args, **kwargs):
         caps.append(kwargs["node_limit"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, searcher, spy)
+    monkeypatch.setattr(cli, "solve", spy)
     argv = ["bench", "--sizes", "5", "--mode", mode, "--node-limit", "0"]
     assert main(argv + ["--csv", str(tmp_path / "bench.csv")]) == 0
     assert caps == [0]

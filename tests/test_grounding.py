@@ -16,7 +16,7 @@ from prodplan.errors import (
 from prodplan.model_io import generate_permutation_goals
 from prodplan.pddl import parse_domain, parse_problem
 from prodplan.planner import grounding
-from prodplan.planner.grounding import ground
+from prodplan.planner.grounding import MAX_ACTION_COST, ground
 from prodplan.transform import derive_domain, derive_problem
 
 import oracles
@@ -263,18 +263,36 @@ def test_unreachable_precondition_prunes_action():
     assert [a.name for a in task.actions] == ["rise"]
 
 
-def test_negative_action_cost_rejected():
+def _costly_task(*amounts):
+    increases = " ".join(f"(increase (total-cost) {amount})" for amount in amounts)
     domain = parse_domain(
         "(define (domain m) (:requirements :action-costs) (:types T)"
         " (:predicates (Up ?x - T)) (:functions (total-cost))"
         " (:action Raise :parameters (?x - T)"
-        "   :effect (and (Up ?x) (increase (total-cost) -5))))"
+        f"   :effect (and (Up ?x) {increases})))"
     )
     problem = parse_problem(
         "(define (problem p) (:domain m) (:objects a - T) (:init) (:goal (Up a)))"
     )
+    return ground(domain, problem)
+
+
+def test_negative_action_cost_rejected():
     with pytest.raises(UnsupportedFeature):
-        ground(domain, problem)
+        _costly_task(-5)
+
+
+def test_action_cost_above_the_bound_rejected():
+    assert MAX_ACTION_COST == 2**31 - 1
+    (action,) = _costly_task(MAX_ACTION_COST).actions
+    assert action.cost == MAX_ACTION_COST
+    (action,) = _costly_task(MAX_ACTION_COST - 1, 1).actions
+    assert action.cost == MAX_ACTION_COST
+    message = rf"\(increase \(total-cost\) 1\): an action's cost must be from 0 to {MAX_ACTION_COST}"
+    with pytest.raises(UnsupportedFeature, match=message):
+        _costly_task(MAX_ACTION_COST, 1)
+    with pytest.raises(UnsupportedFeature, match="must be from 0 to"):
+        _costly_task(2**63)
 
 
 @pytest.mark.parametrize(
@@ -302,20 +320,6 @@ def test_schema_errors_raised_without_surviving_bindings(bad_atom, dead):
 
 
 # -- reuse of the goal-independent half across goals ---------------------------
-
-
-@pytest.fixture
-def constructions(monkeypatch):
-    """The problem names of the _Grounder instances built while the test runs."""
-    built = []
-
-    class Counting(grounding._Grounder):
-        def __init__(self, domain, problem):
-            built.append(problem.name)
-            super().__init__(domain, problem)
-
-    monkeypatch.setattr(grounding, "_Grounder", Counting)
-    return built
 
 
 def test_demo_goals_reuse_one_grounding(constructions):

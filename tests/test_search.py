@@ -12,6 +12,7 @@ from prodplan.errors import (
     PreconditionViolated,
     UnknownAction,
 )
+from prodplan.model import Duration, validate_model
 from prodplan.model_io import (
     GoalSpec,
     generate_drill_goal,
@@ -21,7 +22,12 @@ from prodplan.model_io import (
 )
 from prodplan.pddl import Plan, PlanStep, parse_domain, parse_problem
 from prodplan.planner import available_backends
-from prodplan.planner.grounding import GroundAction, GroundTask, ground
+from prodplan.planner.grounding import (
+    MAX_ACTION_COST,
+    GroundAction,
+    GroundTask,
+    ground,
+)
 from prodplan.planner.search import solve, solve_bidirectional, validate_plan
 from prodplan.transform import derive_domain, derive_problem, derive_reverse_problem
 
@@ -192,6 +198,32 @@ def test_compiled_backend_rejects_negative_costs():
     task = GroundTask(("up a",), frozenset(), (0,), (), (raise_a,))
     with pytest.raises(ValueError):
         solve(task, backend="compiled")
+
+
+def test_backends_agree_at_the_largest_action_cost():
+    # every move costs MAX_ACTION_COST, and no g value or table entry
+    # reaches the cores' 2**62 sentinels (compiled hmax keeps one bucket
+    # per unit of cost and ends memout here, so it is left out)
+    model = build_demo_model()
+    segments = tuple(
+        dataclasses.replace(seg, duration=Duration(MAX_ACTION_COST))
+        if seg.id == "MoveShuttle"
+        else seg
+        for seg in model.process_segments
+    )
+    model = dataclasses.replace(model, process_segments=segments)
+    assert validate_model(model) == []
+    domain, report = derive_domain(model)
+    task = ground(domain, derive_problem(model, demo_goal_2341(), report))
+    optimal = solve(task, heuristic="hmax", backend="pure")
+    assert optimal.cost == 5 * MAX_ACTION_COST
+    for mode, heuristic in [("optimal", "blind"), ("greedy", "hmax")]:
+        outcomes = {
+            _outcome(solve(task, mode=mode, heuristic=heuristic, backend=b))
+            for b in BACKENDS
+        }
+        (outcome,) = outcomes
+        assert outcome[:2] == ("solved", optimal.cost), mode
 
 
 def test_solve_rejects_unknown_modes(demo_task):
