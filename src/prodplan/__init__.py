@@ -2,8 +2,8 @@
 the plans back into the model as operations data.
 
 The pipeline: load model -> derive domain -> derive problem per goal ->
-serialize/parse PDDL -> solve (embedded A*/greedy or an external solver)
--> validate plan -> operations records -> integrated model.
+serialize/parse PDDL -> ``plan``: ground, solve (embedded A*/greedy or an
+external solver) and validate -> operations records -> integrated model.
 
 ``import prodplan`` loads no submodule. Each name in ``__all__`` is
 imported from the submodule named in ``_EXPORTS`` on first use (PEP 562),
@@ -56,6 +56,7 @@ _EXPORTS = {
     "parse_domain": "pddl",
     "parse_plan": "pddl",
     "parse_problem": "pddl",
+    "plan": "planner",
     "plan_to_operations": "operations",
     "save_goal_model": "model_io",
     "save_integrated_model": "model_io",

@@ -17,24 +17,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 
 # Only what `solve` runs is imported here: each other subcommand imports
 # the model side (model_io, transform, operations) itself, so a solver
 # child started per goal loads just parse -> ground -> search.
 from .errors import ProdplanError, ValidationError
-from .pddl import (
-    Plan,
-    parse_domain,
-    parse_problem,
-    write_domain,
-    write_plan,
-    write_problem,
-)
-from .planner import backend_name, ground, solve, validate_plan
-from .planner.search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
+from .pddl import parse_domain, parse_problem, write_domain, write_plan, write_problem
+from .planner import backend_name
+from .planner.search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, plan
 
 CSV_FIELDS = [
     "size",
@@ -85,8 +77,7 @@ def _solver_options(parser: argparse.ArgumentParser, external: bool) -> None:
     group.add_argument(
         "--heuristic",
         choices=("blind", "hmax"),
-        default="hmax",
-        help="heuristic for optimal mode (default: hmax)",
+        help="A* heuristic, only with --mode optimal (default: hmax)",
     )
     group.add_argument(
         "--timeout",
@@ -129,38 +120,17 @@ class _Version(argparse.Action):
         parser.exit()
 
 
-def _plan(args, domain, problem, workdir=None):
-    """Ground, search and validate one problem; the one planning path.
-
-    The search is ``solve`` or, with ``--solver-cmd``, ``solve_external``
-    run in ``workdir``. Every plan is simulated on the task, which also
-    fills in a missing cost.
-    """
-    task = ground(domain, problem)
-    if args.solver_cmd:
-        from .planner.external import solve_external
-
-        result = solve_external(
-            write_domain(domain),
-            write_problem(problem),
-            args.solver_cmd,
-            workdir,
-            time_limit=args.timeout,
-        )
-    else:
-        result = solve(
-            task,
-            mode=args.mode,
-            heuristic=args.heuristic,
-            time_limit=args.timeout,
-            node_limit=args.node_limit,
-            backend=args.backend,
-        )
-    if result.plan is not None:
-        cost = validate_plan(task, result.plan)
-        if result.plan.cost is None:
-            result = replace(result, plan=Plan(result.plan.steps, cost), cost=cost)
-    return result
+def _planner(args, domain):
+    """``plan`` on ``domain`` with the command line's solver options."""
+    search = {
+        "mode": args.mode,
+        "time_limit": args.timeout,
+        "node_limit": args.node_limit,
+        "backend": args.backend,
+    }
+    if args.heuristic:
+        search["heuristic"] = args.heuristic
+    return partial(plan, domain, solver_cmd=args.solver_cmd, **search)
 
 
 def _report_line(goal_id: str, result) -> str:
@@ -202,12 +172,8 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
     from .model_io import save_integrated_model
     from .operations import merge, plan_to_operations, unsolvable_record
 
-    jobs = (
-        repeat(args),
-        repeat(domain),
-        problems,
-        [out / "solver" / goal.id for goal in goals],
-    )
+    run = _planner(args, domain)
+    workdirs = [out / "solver" / goal.id for goal in goals]
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -216,9 +182,9 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
         # goal-independent half once (see planner.grounding.ground).
         chunk = max(1, -(-len(goals) // parallel))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_plan, *jobs, chunksize=chunk))
+            results = list(pool.map(run, problems, workdirs, chunksize=chunk))
     else:
-        results = map(_plan, *jobs)
+        results = map(run, problems, workdirs)
 
     done = []
     records = []
@@ -346,7 +312,7 @@ def cmd_bench(args) -> int:
         goal = generate_drill_goal(model) if args.drilling else generate_reverse_goal(model)
         domain, report = derive_domain(model)
         problem = derive_problem(model, goal, report)
-        result = _plan(args, domain, problem)
+        result = _planner(args, domain)(problem)
         row = _csv_row(model, args.mode, result)
         rows.append(row)
         label = f"size-{size} ({row['shuttles']} shuttles, {args.mode})"
@@ -386,7 +352,7 @@ def cmd_gen_layout(args) -> int:
 def cmd_solve(args) -> int:
     domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
     problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    result = _plan(args, domain, problem)
+    result = _planner(args, domain)(problem)
     print(_report_line(problem.name, result))
     if result.solved and args.plan_out:
         Path(args.plan_out).write_text(write_plan(result.plan), encoding="utf-8")
@@ -469,7 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "heuristic", None) and args.mode == "greedy":
+        parser.error("argument --heuristic: not allowed with --mode greedy")
     try:
         return args.func(args)
     except ProdplanError as exc:

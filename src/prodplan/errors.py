@@ -89,18 +89,24 @@ class PlanError(ProdplanError):
     pass
 
 
-class UnknownAction(PlanError):
+class _StepError(PlanError):
+    """A fault at plan step ``step_index``; its ``args`` are the
+    constructor's, so a process pool can pickle it back from a worker."""
+
+    def __init__(self, step_index: int, message: str):
+        super().__init__(step_index, message)
+        self.step_index = step_index
+
+    def __str__(self):
+        return f"step {self.step_index}: {self.args[1]}"
+
+
+class UnknownAction(_StepError):
     """Plan step names no ground action of the task."""
 
-    def __init__(self, step_index: int, message: str):
-        super().__init__(f"step {step_index}: {message}")
-        self.step_index = step_index
 
-
-class PreconditionViolated(PlanError):
-    def __init__(self, step_index: int, message: str):
-        super().__init__(f"step {step_index}: {message}")
-        self.step_index = step_index
+class PreconditionViolated(_StepError):
+    pass
 
 
 class GoalNotReached(PlanError):

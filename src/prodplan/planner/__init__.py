@@ -44,7 +44,7 @@ def backend_module(name: str | None = None):
     raise ValueError(f"unknown backend {name!r}")
 
 
-from .search import SearchResult, solve, validate_plan  # noqa: E402
+from .search import SearchResult, plan, solve, validate_plan  # noqa: E402
 
 __all__ = [
     "GroundAction",
@@ -54,6 +54,7 @@ __all__ = [
     "backend_module",
     "backend_name",
     "ground",
+    "plan",
     "solve",
     "validate_plan",
 ]

@@ -15,7 +15,7 @@ from ..errors import (
 from ..pddl import Plan, PlanStep
 from . import backend_module, backend_name
 from ._pysearch import H_BLIND, H_MAX, MEMOUT, SOLVED, TIMEOUT, UNSOLVABLE
-from .grounding import GroundTask
+from .grounding import GroundTask, ground
 
 STATUS_NAMES = {
     SOLVED: "solved",
@@ -101,6 +101,38 @@ def solve(
         h = H_BLIND if heuristic == "blind" else H_MAX
         status, steps, cost, *counts = module.astar(*args, heuristic=h, **limits)
     return _result(task, module, started, status, steps, cost, *counts, heuristic_ms)
+
+
+def plan(domain, problem, workdir=None, *, solver_cmd=None, **search) -> SearchResult:
+    """Ground, search and validate one problem: the one planning path.
+
+    The search is ``solve(task, **search)`` or, with ``solver_cmd``,
+    ``solve_external`` on the problem's PDDL text in ``workdir``, which
+    reads only ``time_limit`` from ``search``. Every plan is simulated on
+    the task, which raises a ``PlanError`` for an invalid plan and fills
+    in a missing cost.
+    """
+    task = ground(domain, problem)
+    if not solver_cmd:
+        result = solve(task, **search)
+    elif workdir is None:
+        raise ValueError("an external solver needs a workdir")
+    else:
+        from ..pddl import write_domain, write_problem
+        from .external import solve_external
+
+        result = solve_external(
+            write_domain(domain),
+            write_problem(problem),
+            solver_cmd,
+            workdir,
+            time_limit=search.get("time_limit", DEFAULT_TIME_LIMIT),
+        )
+    if result.plan is not None:
+        cost = validate_plan(task, result.plan)
+        if result.plan.cost is None:
+            result = replace(result, plan=Plan(result.plan.steps, cost), cost=cost)
+    return result
 
 
 def _remaining(time_limit, started) -> float:
@@ -240,7 +272,7 @@ def validate_plan(task: GroundTask, plan: Plan) -> int:
         label = " ".join((step.action.lower(),) + tuple(a.lower() for a in step.args))
         candidates = task.actions_by_label.get(label)
         if not candidates:
-            raise UnknownAction(index, f"step {index}: no ground action {label!r}")
+            raise UnknownAction(index, f"no ground action {label!r}")
         applied = False
         for i in candidates:
             action = task.actions[i]
@@ -270,6 +302,7 @@ __all__ = [
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_TIME_LIMIT",
     "SearchResult",
+    "plan",
     "solve",
     "solve_bidirectional",
     "validate_plan",

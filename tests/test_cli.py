@@ -9,7 +9,6 @@ import sys
 
 import pytest
 
-from prodplan import cli
 from prodplan.cli import main
 from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.model_io import (
@@ -25,7 +24,7 @@ from prodplan.model_io import (
     save_production_model,
 )
 from prodplan.pddl import parse_domain, parse_plan, parse_problem
-from prodplan.planner import available_backends, solve
+from prodplan.planner import available_backends, search, solve
 from prodplan.planner.grounding import ground
 from prodplan.transform import derive_domain, derive_problem
 
@@ -256,7 +255,8 @@ def test_pipeline_with_external_solver(
     assert "goal-2341: solved cost=50" in capsys.readouterr().out
 
 
-_COSTLESS_SOLVER = """\
+# A solver that runs `prodplan solve`, then edits the plan file it wrote.
+_EDITING_SOLVER = """\
 import subprocess
 import sys
 from pathlib import Path
@@ -268,7 +268,12 @@ subprocess.run(
     check=True,
 )
 lines = Path(plan).read_text().splitlines(keepends=True)
+"""
+_COSTLESS_SOLVER = _EDITING_SOLVER + """\
 Path(plan).write_text("".join(l for l in lines if not l.startswith("; cost")))
+"""
+_SWAPPING_SOLVER = _EDITING_SOLVER + """\
+Path(plan).write_text("".join([lines[1], lines[0], *lines[2:]]))
 """
 
 
@@ -289,6 +294,22 @@ def test_pipeline_fills_in_a_cost_the_solver_left_out(
     assert plan.cost == 50 and len(plan.steps) == 5
     (record,) = load_integrated_model(out / "integrated.json").operations_definitions
     assert record.total_cost == 50
+
+
+def test_pipeline_refuses_an_invalid_external_plan(
+    demo_files, tmp_path, capsys, child_pythonpath
+):
+    model_path, goal_path = demo_files
+    script = tmp_path / "swapping.py"
+    script.write_text(_SWAPPING_SOLVER)
+    out = tmp_path / "out"
+    solver = f"{sys.executable} {script} {{domain}} {{problem}} {{plan}}"
+    args = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    assert main(args + ["--out", str(out), "--solver-cmd", solver]) == 1
+    assert "error: step 0: preconditions of 'moveshuttle " in capsys.readouterr().err
+    assert (out / "solver" / "goal-2341" / "plan.txt").exists()
+    assert not (out / "plan-goal-2341.txt").exists()
+    assert not (out / "integrated.json").exists()
 
 
 def test_pipeline_refuses_two_goals_with_one_id(demo_files, tmp_path, capsys):
@@ -477,6 +498,20 @@ def test_permutations_runs_the_external_solver(demo_files, tmp_path, capsys):
     assert (out / "solver" / "goal-2341" / "problem.pddl").exists()
 
 
+def test_parallel_permutations_report_an_invalid_plan(demo_files, tmp_path, capsys):
+    # every demo goal starts with Shuttle-01 on PU-03, so this first step is blocked
+    solver = tmp_path / "blocked.sh"
+    step = "(MoveShuttle E_Shuttle-02 E_PositioningUnit-01 E_PositioningUnit-03)"
+    solver.write_text(f'#!/bin/sh\necho "{step}" > "$1"\n')
+    solver.chmod(solver.stat().st_mode | stat.S_IEXEC)
+    out = tmp_path / "out"
+    argv = ["permutations", "--model", str(demo_files[0]), "--out", str(out), "--parallel", "2"]
+    assert main(argv + ["--solver-cmd", f"{solver} {{plan}}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0: preconditions of 'moveshuttle e_shuttle-02 ")
+    assert not (out / "integrated.json").exists()
+
+
 @pytest.mark.parametrize("command", ["bench", "solve"])
 def test_solver_cmd_is_not_an_option_of(command, tmp_path, capsys):
     argv = [command, "--solver-cmd", "x"]
@@ -529,16 +564,44 @@ def test_bad_sizes_are_a_usage_error(sizes, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_heuristic_with_greedy_mode_is_a_usage_error(command, capsys):
+    argv = [command, "--mode", "greedy", "--heuristic", "blind"]
+    if command == "solve":
+        argv += ["--domain", "d.pddl", "--problem", "p.pddl"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "argument --heuristic: not allowed with --mode greedy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, heuristic",
+    [([], None), (["--heuristic", "blind"], "blind"), (["--mode", "greedy"], None)],
+)
+def test_heuristic_reaches_solve_only_when_given(monkeypatch, extra, heuristic):
+    real = search.solve
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("heuristic"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "solve", spy)
+    assert main(["bench", "--sizes", "5"] + extra) == 0
+    assert seen == [heuristic]
+
+
 @pytest.mark.parametrize("mode", ["optimal", "greedy"])
 def test_node_limit_zero_means_no_cap(monkeypatch, tmp_path, mode):
-    real = cli.solve
+    real = search.solve
     caps = []
 
     def spy(*args, **kwargs):
         caps.append(kwargs["node_limit"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve", spy)
+    monkeypatch.setattr(search, "solve", spy)
     argv = ["bench", "--sizes", "5", "--mode", mode, "--node-limit", "0"]
     assert main(argv + ["--csv", str(tmp_path / "bench.csv")]) == 0
     assert caps == [0]

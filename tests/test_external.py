@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from prodplan.errors import PlanParseError, SolverLaunchFailure
+from prodplan.errors import PlanParseError, PreconditionViolated, SolverLaunchFailure
 from prodplan.pddl import Plan, PlanStep, write_domain, write_problem
 from prodplan.planner.external import solve_external
 from prodplan.planner.grounding import ground
-from prodplan.planner.search import validate_plan
+from prodplan.planner.search import plan, validate_plan
 
 
 def _script(tmp_path, name, body):
@@ -20,16 +20,21 @@ def _script(tmp_path, name, body):
     return path
 
 
-def _demo_plan_solver(tmp_path):
-    """A solver that checks it got a domain and writes a cost-50 demo plan."""
-    plan_text = (
-        "(MoveShuttle E_Shuttle-01 E_PositioningUnit-03 E_PositioningUnit-05)\\n"
-        "(MoveShuttle E_Shuttle-02 E_PositioningUnit-01 E_PositioningUnit-03)\\n"
-        "(MoveShuttle E_Shuttle-03 E_PositioningUnit-04 E_PositioningUnit-01)\\n"
-        "(MoveShuttle E_Shuttle-04 E_PositioningUnit-02 E_PositioningUnit-04)\\n"
-        "(MoveShuttle E_Shuttle-01 E_PositioningUnit-05 E_PositioningUnit-02)\\n"
-        "; cost = 50 (general cost)\\n"
-    )
+# The demo's optimal plan, cost 50, as a solver writes it.
+_DEMO_PLAN = (
+    "(MoveShuttle E_Shuttle-01 E_PositioningUnit-03 E_PositioningUnit-05)",
+    "(MoveShuttle E_Shuttle-02 E_PositioningUnit-01 E_PositioningUnit-03)",
+    "(MoveShuttle E_Shuttle-03 E_PositioningUnit-04 E_PositioningUnit-01)",
+    "(MoveShuttle E_Shuttle-04 E_PositioningUnit-02 E_PositioningUnit-04)",
+    "(MoveShuttle E_Shuttle-01 E_PositioningUnit-05 E_PositioningUnit-02)",
+    "; cost = 50 (general cost)",
+)
+
+
+def _demo_plan_solver(tmp_path, lines=_DEMO_PLAN):
+    """A solver that checks it got a domain and writes ``lines`` as its
+    plan, by default the demo's optimal plan."""
+    plan_text = "".join(f"{line}\\n" for line in lines)
     return _script(
         tmp_path,
         "solver.sh",
@@ -38,12 +43,17 @@ def _demo_plan_solver(tmp_path):
 
 
 @pytest.fixture
-def demo_texts(demo_model, demo_domain):
+def demo_problem(demo_model, demo_domain):
     from prodplan.demo import demo_goal_2341
     from prodplan.transform import derive_problem
 
     domain, report = demo_domain
-    problem = derive_problem(demo_model, demo_goal_2341(), report)
+    return domain, derive_problem(demo_model, demo_goal_2341(), report)
+
+
+@pytest.fixture
+def demo_texts(demo_problem):
+    domain, problem = demo_problem
     return write_domain(domain), write_problem(problem)
 
 
@@ -218,3 +228,21 @@ def test_search_counts_read_from_solver_stdout(tmp_path, demo_texts):
         ("solved", 7, 12),
         ("solved", 0, 0),
     ]
+
+
+def test_plan_fills_in_the_cost_of_a_costless_external_plan(tmp_path, demo_problem):
+    script = _demo_plan_solver(tmp_path, _DEMO_PLAN[:-1])
+    command = f"{script} {{domain}} {{problem}} {{plan}}"
+    result = plan(*demo_problem, tmp_path / "work", solver_cmd=command)
+    assert "; cost" not in (tmp_path / "work" / "plan.txt").read_text()
+    assert (result.status, result.cost, result.plan.cost) == ("solved", 50, 50)
+    assert len(result.plan.steps) == 5
+
+
+def test_plan_refuses_an_invalid_external_plan(tmp_path, demo_problem):
+    swapped = (_DEMO_PLAN[1], _DEMO_PLAN[0], *_DEMO_PLAN[2:])
+    script = _demo_plan_solver(tmp_path, swapped)
+    command = f"{script} {{domain}} {{problem}} {{plan}}"
+    with pytest.raises(PreconditionViolated) as err:
+        plan(*demo_problem, tmp_path / "work", solver_cmd=command)
+    assert err.value.step_index == 0

@@ -28,7 +28,7 @@ from prodplan.planner.grounding import (
     GroundTask,
     ground,
 )
-from prodplan.planner.search import solve, solve_bidirectional, validate_plan
+from prodplan.planner.search import plan, solve, solve_bidirectional, validate_plan
 from prodplan.transform import derive_domain, derive_problem, derive_reverse_problem
 
 import oracles
@@ -226,6 +226,28 @@ def test_backends_agree_at_the_largest_action_cost():
         assert outcome[:2] == ("solved", optimal.cost), mode
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+def test_plan_returns_what_solve_returns(backend, mode):
+    ring = generate_ring_layout(7, 0.65)
+    cases = ((build_demo_model(), demo_goal_2341()), (ring, generate_reverse_goal(ring)))
+    for model, goal in cases:
+        domain, report = derive_domain(model)
+        problem = derive_problem(model, goal, report)
+        expected = solve(ground(domain, problem), mode=mode, backend=backend)
+        assert expected.solved, goal.id
+        result = plan(domain, problem, mode=mode, backend=backend)
+        assert _outcome(result) == _outcome(expected), goal.id
+        assert result.backend == backend
+
+
+def test_plan_needs_a_workdir_for_an_external_solver(demo_model, demo_domain):
+    domain, report = demo_domain
+    problem = derive_problem(demo_model, demo_goal_2341(), report)
+    with pytest.raises(ValueError, match="workdir"):
+        plan(domain, problem, solver_cmd="solver {domain} {problem} {plan}")
+
+
 def test_solve_rejects_unknown_modes(demo_task):
     with pytest.raises(ValueError):
         solve(demo_task, mode="magic")
@@ -246,8 +268,10 @@ def test_validator_reports_first_violated_step(demo_task):
 
 
 def test_validator_rejects_unknown_action(demo_task):
-    with pytest.raises(UnknownAction):
+    with pytest.raises(UnknownAction) as err:
         validate_plan(demo_task, Plan(steps=(PlanStep("teleport", ("e_shuttle-01",)),)))
+    assert err.value.step_index == 0
+    assert str(err.value) == "step 0: no ground action 'teleport e_shuttle-01'"
 
 
 def test_validator_rejects_partial_plans(demo_task):
