@@ -210,7 +210,6 @@ def _plan_goals(args, model, report, domain, goals, problems, out: Path, paralle
 
 
 def cmd_validate(args) -> int:
-    from .model import build_routing_graph
     from .model_io import load_production_model
     from .transform import derive_domain
 
@@ -220,11 +219,9 @@ def cmd_validate(args) -> int:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
         return 1
-    # a model that loads can still fail where pipeline derives its domain
-    # and routing graph; those errors reach main() and exit 1
-    _, report = derive_domain(model)
-    if report.movement_used or report.drilling_used:
-        build_routing_graph(model)
+    # a model that loads can still fail where pipeline derives its domain,
+    # which builds the routing graph too; those errors reach main() and exit 1
+    derive_domain(model)
     print(f"{args.model}: ok")
     return 0
 

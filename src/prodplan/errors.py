@@ -82,6 +82,15 @@ class UnboundVariable(GroundingError):
     pass
 
 
+# --- search ---
+
+
+class BackendUnavailable(ProdplanError, ValueError):
+    """The compiled search core was asked for but could not be built or
+    loaded; the message says why. Also a ValueError, which library callers
+    catch for a backend they cannot have."""
+
+
 # --- plan validation / lifting ---
 
 

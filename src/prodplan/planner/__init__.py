@@ -11,6 +11,7 @@ command that never searches never builds it.
 
 from __future__ import annotations
 
+from ..errors import BackendUnavailable
 from . import _pysearch
 from .grounding import GroundAction, GroundTask, ground
 
@@ -39,7 +40,9 @@ def backend_module(name: str | None = None):
     if name == "compiled":
         compiled = _compiled()
         if compiled is None:
-            raise ValueError("compiled backend is not available")
+            from ._kernel import FAILURE
+
+            raise BackendUnavailable(f"compiled backend is not available: {FAILURE}")
         return compiled
     raise ValueError(f"unknown backend {name!r}")
 

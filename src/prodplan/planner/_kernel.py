@@ -6,7 +6,8 @@ into a per-user cache directory, ``$XDG_CACHE_HOME/prodplan`` (default
 ``~/.cache/prodplan``), as a shared library named by the SHA-256 of the
 source and the compile flags; later imports load it from there. ``LIB``
 is None when there is no compiler or no writable cache, and the planner
-then uses the pure core.
+then uses the pure core; ``FAILURE`` then says why the build or load
+failed.
 
 ``astar`` and ``greedy`` take the arguments of the ``_pysearch``
 functions of the same names and return the same tuples.
@@ -101,10 +102,12 @@ def _open():
     return lib
 
 
+FAILURE = None
 try:
     LIB = _open()
-except OSError:
+except OSError as exc:
     LIB = None
+    FAILURE = str(exc)
 
 
 def _check(n_fluents, fluents):

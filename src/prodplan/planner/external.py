@@ -27,6 +27,9 @@ from ..pddl import parse_plan
 from .search import SearchResult
 
 UNSOLVABLE_EXIT_CODES = (0, 12)
+# subprocess waits through poll(), whose timeout is a C int of
+# milliseconds: about 24.8 days is the longest wait it can be given
+_LONGEST_WAIT_S = (2**31 - 1) / 1000
 
 
 def _count(name: str, stdout: str) -> int:
@@ -59,6 +62,8 @@ def solve_external(
         )
         for part in shlex.split(command_template)
     ]
+    # 0, as in solve(), inf and limits past the longest wait mean none
+    wait = time_limit if time_limit and time_limit <= _LONGEST_WAIT_S else None
     started = time.monotonic()
     try:
         proc = subprocess.run(
@@ -66,7 +71,7 @@ def solve_external(
             cwd=work,
             capture_output=True,
             text=True,
-            timeout=time_limit or None,  # 0 means unlimited, as in solve()
+            timeout=wait,
         )
     except FileNotFoundError as exc:
         raise SolverLaunchFailure(f"cannot launch {command[0]!r}: {exc}") from exc

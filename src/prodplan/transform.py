@@ -6,7 +6,9 @@ Process segments become actions: segment specifications turn into typed
 parameters, tagged property constraints (pddl:pre / pddl:post) turn into
 preconditions and effects, and the duration becomes the action cost in
 seconds. Properties tagged pddl:implicit are fenced off from the generic
-Set actions.
+Set actions. The objects and init atoms do not depend on the goal, so
+``derive_domain`` derives them once into its report and every problem
+reuses them; a problem adds only its goal.
 
 Two segment parameters trigger extra rules:
 
@@ -28,6 +30,7 @@ from .model import (
     PRE_TAG,
     REACH_CONNECTION,
     ProductionModel,
+    RoutingGraph,
     build_routing_graph,
 )
 from .model_io import GoalSpec
@@ -58,11 +61,14 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Name maps for walking plan text back to model elements.
+    """The model half of every problem, and the name maps for walking plan
+    text back to model elements.
 
-    ``derive_domain`` returns it complete, object names included, and it
-    is read-only from then on: problem derivation only reads it, and a plan
-    lifts back through it without any problem being derived first.
+    ``derive_domain`` returns it complete and it is read-only from then on:
+    every forward problem shares its ``objects`` and ``init`` and adds only
+    a goal, the reverse problem flips its ``routing_graph`` (None unless a
+    segment moves or drills), and a plan lifts back through its maps
+    without any problem being derived first.
     """
 
     movement_used: bool
@@ -72,6 +78,9 @@ class TransformReport:
     object_by_element: dict[str, str]
     spec_ids_by_segment: dict[str, tuple[str, ...]]
     cost_by_segment: dict[str, int]
+    routing_graph: RoutingGraph | None
+    objects: tuple[TypedName, ...]
+    init: tuple[Atom | NumericInit, ...]
 
 
 def _mangle(prefix: str, element_id: str) -> str:
@@ -431,42 +440,42 @@ class _DomainBuilder:
 
 
 def derive_domain(model: ProductionModel) -> tuple[PddlDomain, TransformReport]:
-    """Domain description plus the complete report needed to read plans
-    back; problem derivation and plan lifting only read the report."""
+    """Domain description plus the complete report: the objects and initial
+    state every problem shares, and the name maps needed to read plans back."""
     builder = _DomainBuilder(model)
     domain = builder.build()
-    objects = [(name, element_id) for name, element_id, _ in _problem_objects(model)]
+    objects = list(_problem_objects(model))
+    graph = None
+    if builder.movement_used or builder.drilling_used:
+        graph = build_routing_graph(model)
     segments = model.process_segments
     report = TransformReport(
         movement_used=builder.movement_used,
         drilling_used=builder.drilling_used,
         segment_by_action={s.id.lower(): s.id for s in segments},
-        element_by_object={name.lower(): element_id for name, element_id in objects},
-        object_by_element={element_id: name for name, element_id in objects},
+        element_by_object={name.lower(): element_id for name, element_id, _ in objects},
+        object_by_element={element_id: name for name, element_id, _ in objects},
         spec_ids_by_segment={
             s.id: tuple(spec.id for spec in s.equipment_specs + s.material_specs)
             for s in segments
         },
         cost_by_segment={s.id: s.duration.seconds() for s in segments},
+        routing_graph=graph,
+        objects=tuple(TypedName(name, type_) for name, _, type_ in objects),
+        init=_initial_state(model, graph, builder.drilling_used),
     )
     return domain, report
 
 
-def _assemble_problem(
+def _initial_state(
     model: ProductionModel,
-    report: TransformReport,
-    name: str,
-    property_values: dict[str, bool],
-    edges,
-    placements,
-    goal_items: list[Expr],
-) -> PddlProblem:
-    """Shared problem skeleton; forward and reverse derivations differ only
-    in property truth values, routing edge direction, shuttle placements
-    and the goal condition."""
-    objects = tuple(
-        TypedName(name, type_) for name, _, type_ in _problem_objects(model)
-    )
+    graph: RoutingGraph | None,
+    drilling_used: bool,
+    is_true=lambda equip, prop: prop.value,
+) -> tuple[Atom | NumericInit, ...]:
+    """Init atoms of a problem; forward and reverse problems differ only in
+    the routing ``graph`` (edge direction and shuttle placements) and in
+    which equipment properties ``is_true(equip, prop)``."""
     init: list[Atom | NumericInit] = []
     for equip in model.equipment:
         for cid in equip.class_ids:
@@ -490,22 +499,22 @@ def _assemble_problem(
                     ),
                 )
             )
-            if property_values[prop.id]:
+            if is_true(equip, prop):
                 init.append(Atom("EquipmentPropertyTrue", (_mangle("EP_", prop.id),)))
 
-    if report.movement_used or report.drilling_used:
-        for source, target in edges:
+    if graph is not None:
+        for source, target in graph.edges:
             init.append(
                 Atom(
                     "PositioningUnitConnection",
                     (_mangle("E_", source), _mangle("E_", target)),
                 )
             )
-        for shuttle, unit in placements:
+        for shuttle, unit in graph.shuttle_at.items():
             init.append(
                 Atom("ShuttleLocation", (_mangle("E_", shuttle), _mangle("E_", unit)))
             )
-    if report.drilling_used:
+    if drilling_used:
         for conn in model.connections:
             if conn.connection_type == REACH_CONNECTION:
                 init.append(
@@ -531,12 +540,15 @@ def _assemble_problem(
                     )
                 )
     init.append(NumericInit(TOTAL_COST, 0))
+    return tuple(init)
 
+
+def _problem(name: str, fallback: str, objects, init, goal_items: list[Expr]):
     return PddlProblem(
-        name=name,
+        name=name if _NAME_RE.match(name) else fallback,
         domain_name=DOMAIN_NAME,
         objects=objects,
-        init=tuple(init),
+        init=init,
         goal=And(tuple(goal_items)),
         minimize=TOTAL_COST,
     )
@@ -545,7 +557,8 @@ def _assemble_problem(
 def derive_problem(
     model: ProductionModel, goal: GoalSpec, report: TransformReport
 ) -> PddlProblem:
-    """Initial state from the model, goal condition from the goal spec."""
+    """The goal condition from the goal spec over the report's shared
+    objects and initial state."""
     goal_items: list[Expr] = []
     if goal.shuttle_locations and not (report.movement_used or report.drilling_used):
         raise TransformError(
@@ -579,21 +592,8 @@ def derive_problem(
         goal_items.append(
             Atom("MaterialPropertyTrue", (_mangle("M_", mid), _mangle("MP_", pid)))
         )
-
-    name = f"problem-{goal.id}"
-    if not _NAME_RE.match(name):
-        name = "problem"
-    edges: tuple = ()
-    placements: tuple = ()
-    if report.movement_used or report.drilling_used:
-        graph = build_routing_graph(model)
-        edges = graph.edges
-        placements = tuple(graph.shuttle_at.items())
-    property_values = {
-        p.id: p.value for e in model.equipment for p in e.properties
-    }
-    return _assemble_problem(
-        model, report, name, property_values, edges, placements, goal_items
+    return _problem(
+        f"problem-{goal.id}", "problem", report.objects, report.init, goal_items
     )
 
 
@@ -655,7 +655,7 @@ def derive_reverse_problem(
     if occupancy is None:
         return None
 
-    graph = build_routing_graph(model)
+    graph = report.routing_graph
     targets = dict(goal.shuttle_locations)
     if len(targets) != len(goal.shuttle_locations):
         return None
@@ -665,24 +665,19 @@ def derive_reverse_problem(
     if len(occupied_units) != len(targets) or not occupied_units <= set(graph.nodes):
         return None
 
-    property_values: dict[str, bool] = {}
-    for equip in model.equipment:
-        for prop in equip.properties:
-            if prop.implements_class_property_id in occupancy:
-                property_values[prop.id] = equip.id in occupied_units
-            else:
-                property_values[prop.id] = prop.value
+    def is_true(equip, prop) -> bool:
+        if prop.implements_class_property_id in occupancy:
+            return equip.id in occupied_units
+        return prop.value
 
+    flipped = RoutingGraph(
+        graph.nodes, tuple((target, source) for source, target in graph.edges), targets
+    )
     goal_items: list[Expr] = [
         Atom("ShuttleLocation", (_mangle("E_", shuttle), _mangle("E_", unit)))
         for shuttle, unit in graph.shuttle_at.items()
     ]
-    edges = tuple((target, source) for source, target in graph.edges)
-    placements = tuple(targets.items())
-
-    name = f"problem-{goal.id}-reverse"
-    if not _NAME_RE.match(name):
-        name = "problem-reverse"
-    return _assemble_problem(
-        model, report, name, property_values, edges, placements, goal_items
+    init = _initial_state(model, flipped, report.drilling_used, is_true)
+    return _problem(
+        f"problem-{goal.id}-reverse", "problem-reverse", report.objects, init, goal_items
     )

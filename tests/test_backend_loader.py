@@ -10,9 +10,10 @@ import sysconfig
 
 import pytest
 
-HAS_COMPILER = (
-    shutil.which(shlex.split(sysconfig.get_config_var("CXX") or "c++")[0]) is not None
-)
+from prodplan.errors import BackendUnavailable
+
+COMPILER = shlex.split(sysconfig.get_config_var("CXX") or "c++")[0]
+HAS_COMPILER = shutil.which(COMPILER) is not None
 
 
 def _backend(env) -> str:
@@ -31,8 +32,9 @@ def _files(directory):
     return sorted(p for p in directory.rglob("*") if p.is_file())
 
 
-@pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
-def test_loader_falls_back_to_pure(tmp_path, child_pythonpath, broken):
+def _broken_env(tmp_path, broken):
+    """The environment and cache of a child that cannot build the kernel:
+    no compiler on PATH, or a file where the cache directory should be."""
     env = dict(os.environ)
     cache = tmp_path / "cache"
     if broken == "no-compiler":
@@ -42,11 +44,45 @@ def test_loader_falls_back_to_pure(tmp_path, child_pythonpath, broken):
     else:
         cache.write_text("a file where the cache directory should be")
     env["XDG_CACHE_HOME"] = str(cache)
+    return env, cache
 
+
+@pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
+def test_loader_falls_back_to_pure(tmp_path, child_pythonpath, broken):
+    env, cache = _broken_env(tmp_path, broken)
     assert _backend(env) == "pure"
     if cache.is_dir():
         # a failed build leaves no partial library behind
         assert _files(cache) == []
+
+
+@pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
+def test_asking_for_a_missing_compiled_backend_says_why(tmp_path, child_pythonpath, broken):
+    env, cache = _broken_env(tmp_path, broken)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prodplan.cli", "bench", "--sizes", "5"]
+        + ["--backend", "compiled"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: compiled backend is not available: ")
+    # the reason names the missing compiler or the cache it could not use
+    assert (COMPILER if broken == "no-compiler" else str(cache)) in line
+
+
+def test_compiled_backend_error_is_a_value_error_with_the_reason(monkeypatch):
+    from prodplan.planner import _kernel, backend_module
+
+    monkeypatch.setattr(_kernel, "LIB", None)
+    monkeypatch.setattr(_kernel, "FAILURE", "no compiler here")
+    with pytest.raises(BackendUnavailable, match="no compiler here") as caught:
+        backend_module("compiled")
+    assert isinstance(caught.value, ValueError)
 
 
 @pytest.mark.skipif(not HAS_COMPILER, reason="needs the interpreter's C++ compiler")

@@ -255,6 +255,22 @@ def test_pipeline_with_external_solver(
     assert "goal-2341: solved cost=50" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["inf", "3e6"])
+def test_pipeline_waits_for_the_external_solver_without_a_limit(
+    demo_files, tmp_path, capsys, child_pythonpath, limit
+):
+    # past about 24.8 days subprocess cannot wait, so such a limit is none
+    model_path, goal_path = demo_files
+    solver = (
+        f"{sys.executable} -m prodplan.cli solve "
+        "--domain {domain} --problem {problem} --plan-out {plan}"
+    )
+    argv = ["pipeline", "--model", str(model_path), "--goal", str(goal_path)]
+    argv += ["--out", str(tmp_path / "out"), "--solver-cmd", solver, "--timeout", limit]
+    assert main(argv) == 0
+    assert "goal-2341: solved cost=50" in capsys.readouterr().out
+
+
 # A solver that runs `prodplan solve`, then edits the plan file it wrote.
 _EDITING_SOLVER = """\
 import subprocess

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import stat
 import sys
@@ -246,3 +247,20 @@ def test_plan_refuses_an_invalid_external_plan(tmp_path, demo_problem):
     with pytest.raises(PreconditionViolated) as err:
         plan(*demo_problem, tmp_path / "work", solver_cmd=command)
     assert err.value.step_index == 0
+
+
+@pytest.mark.parametrize("time_limit", [math.inf, 3e6])
+def test_a_limit_past_the_longest_wait_waits_without_one(
+    tmp_path, demo_problem, time_limit
+):
+    # subprocess can wait at most 2**31 ms, about 24.8 days
+    domain, problem = demo_problem
+    script = _demo_plan_solver(tmp_path)
+    result = plan(
+        domain,
+        problem,
+        tmp_path / "work",
+        solver_cmd=f"{script} {{domain}} {{problem}} {{plan}}",
+        time_limit=time_limit,
+    )
+    assert (result.status, result.cost) == ("solved", 50)

@@ -2,23 +2,41 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 
 import pytest
 
+from prodplan import transform
 from prodplan.demo import build_demo_model, demo_goal_2341
 from prodplan.errors import (
     DanglingReference,
     MissingRole,
     NonBooleanProperty,
+    ShuttleOffStation,
     TransformError,
 )
+from prodplan.model import build_routing_graph
 from prodplan.model_io import (
     GoalSpec,
+    generate_drill_goal,
+    generate_permutation_goals,
+    generate_reverse_goal,
     generate_ring_layout,
     model_from_dict,
     model_to_dict,
 )
-from prodplan.pddl import And, Atom, Exists, Forall, Increase, Not, TypedName, When
+from prodplan.pddl import (
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Increase,
+    Not,
+    TypedName,
+    When,
+    write_domain,
+    write_problem,
+)
 from prodplan.pddl.ast import NumericInit
 from prodplan.transform import (
     derive_domain,
@@ -381,8 +399,6 @@ def test_reverse_problem_eligibility(demo_model, demo_domain):
     # material lots block the reverse derivation outright
     drilling = generate_ring_layout(5, 0.65, with_robot_and_boards=True)
     d_domain, d_report = derive_domain(drilling)
-    from prodplan.model import build_routing_graph
-
     graph = build_routing_graph(drilling)
     full = GoalSpec(
         id="full",
@@ -408,9 +424,6 @@ def test_reverse_problem_rejects_segments_with_extra_state():
 
 
 def test_reverse_problem_on_generated_ring():
-    from prodplan.model import build_routing_graph
-    from prodplan.model_io import generate_reverse_goal
-
     model = generate_ring_layout(9, 0.65)
     _, report = derive_domain(model)
     goal = generate_reverse_goal(model)
@@ -422,3 +435,93 @@ def test_reverse_problem_on_generated_ring():
     preds_r = {i.predicate for i in reverse.init if isinstance(i, Atom)}
     assert preds_f == preds_r
     assert len(forward.init) == len(reverse.init)
+
+
+def test_forward_problems_share_the_reports_objects_and_init(demo_model, demo_domain):
+    _, report = demo_domain
+    for goal in generate_permutation_goals(demo_model):
+        problem = derive_problem(demo_model, goal, report)
+        assert problem.objects is report.objects
+        assert problem.init is report.init
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_demo_model, lambda: generate_ring_layout(5, 0.65, with_robot_and_boards=True)],
+    ids=["movement", "drilling"],
+)
+def test_routing_graph_is_built_once_per_domain(monkeypatch, build):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return build_routing_graph(model)
+
+    monkeypatch.setattr(transform, "build_routing_graph", counted)
+    model = build()
+    _, report = derive_domain(model)
+    assert len(calls) == 1
+    for goal in generate_permutation_goals(model)[:6]:
+        derive_problem(model, goal, report)
+        derive_reverse_problem(model, goal, report)
+    assert len(calls) == 1
+
+
+def test_shuttle_off_station_fails_the_domain():
+    data = model_to_dict(build_demo_model())
+    connections = data["resourceNetworks"][0]["connections"]
+    parked = next(c for c in connections if c["fromId"] == "Shuttle-01")
+    parked["coordinates"] = [11.0, 0.0, 0.0]  # between two PUs
+    with pytest.raises(ShuttleOffStation):
+        derive_domain(model_from_dict(data))
+
+
+def _derived_pddl_digest(model) -> str:
+    """SHA-256 over the domain text and every forward and reverse problem
+    text for the plant's permutation, reverse and drill goals. Only the
+    first 24 permutation goals count, and none past 6 shuttles (ring 15
+    has 10! - 1)."""
+    domain, report = derive_domain(model)
+    goals = []
+    if len(model.equipment_of_class("Shuttle")) <= 6:
+        goals = generate_permutation_goals(model)[:24]
+    goals.append(generate_reverse_goal(model))
+    if model.material_lots:
+        goals.append(generate_drill_goal(model))
+    digest = hashlib.sha256(write_domain(domain).encode("utf-8"))
+    for goal in goals:
+        digest.update(write_problem(derive_problem(model, goal, report)).encode("utf-8"))
+        reverse = derive_reverse_problem(model, goal, report)
+        digest.update(b"none" if reverse is None else write_problem(reverse).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (lambda: build_demo_model(), "b03fc24bcd186bc3102a740fa2a227c0db6459df501bd19a7e07c832fd79bec0"),
+        (lambda: build_demo_model(with_switchable_property=True), "3c85aa04c2733d31cdbe7762cc604a8188c73c73f036b183f876ad04216948e0"),
+        (lambda: generate_ring_layout(3, 0.65), "cf5b556591b2ab0163dc0c61d794b05b667a7d7a9f13bfc46012524a93835f62"),
+        (lambda: generate_ring_layout(3, 0.65, True), "f3566153ce3063cf7fc02a64cb97d52fe88ce58307dad3cda73a735440348d06"),
+        (lambda: generate_ring_layout(5, 0.65), "313bddd0a62139bd8ec3782b82e67fe51fa01fef250b80384420ca50a222b42c"),
+        (lambda: generate_ring_layout(5, 0.65, True), "a4ed6788e6e0ddf88b62af30fa24f3ade60cbf95a629c19c06e861ed60cb4a21"),
+        (lambda: generate_ring_layout(9, 0.65), "0bcca48c2ac19b7cd84dbcb0d2cc9d0e2b4423e171dd90421d81007dfa936d02"),
+        (lambda: generate_ring_layout(9, 0.65, True), "be4abbaa42c1957972027b6a718034cf415d950077d4854be4f7e2478360f7ba"),
+        (lambda: generate_ring_layout(15, 0.65), "17b663100362dab04e621bcf2b974fd5ef6856108d83029ede141773aab396dd"),
+        (lambda: generate_ring_layout(15, 0.65, True), "0a9d77bb18a4a2846f99dad2e0aaa0f3795ca2c13dcde628d8ca340ea1394b3e"),
+    ],
+    ids=[
+        "demo",
+        "demo-beacon",
+        "ring3",
+        "ring3-drilling",
+        "ring5",
+        "ring5-drilling",
+        "ring9",
+        "ring9-drilling",
+        "ring15",
+        "ring15-drilling",
+    ],
+)
+def test_derived_pddl_is_pinned(build, digest):
+    assert _derived_pddl_digest(build()) == digest
