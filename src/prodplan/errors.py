@@ -18,12 +18,16 @@ class ValidationError(ProdplanError):
     """A loaded model or goal violates its invariants.
 
     Carries the individual diagnostics so callers can report all of them.
+    Its ``args`` are the diagnostics as a list, so it pickles.
     """
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
+        super().__init__(self.diagnostics)
+
+    def __str__(self):
         lines = "; ".join(str(d) for d in self.diagnostics)
-        super().__init__(f"{len(self.diagnostics)} validation error(s): {lines}")
+        return f"{len(self.diagnostics)} validation error(s): {lines}"
 
 
 class InvalidParameter(ProdplanError):
@@ -42,10 +46,16 @@ class ShuttleOffStation(ProdplanError):
 
 
 class PddlSyntaxError(ProdplanError):
+    """A PDDL text fault at ``line`` and ``column``; its ``args`` are the
+    constructor's, so it pickles."""
+
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message, line, column)
         self.line = line
         self.column = column
+
+    def __str__(self):
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class UnsupportedFeature(ProdplanError):

@@ -16,6 +16,18 @@
 // state is stored once in a registry and known by its index there; g
 // values and parent links live in tables indexed the same way.
 //
+// Successors come from a watched-precondition index, built once per
+// action set and search (the successor generator of Fast Downward,
+// Helmert, JAIR 26, 2006, cut down to STRIPS). Each action is watched
+// under its positive precondition with the fewest consumers, the lower
+// fluent on a tie; an action without positive preconditions is always a
+// candidate. An expansion marks the actions watched under the state's
+// true fluents in an action bit set and gives each marked action the
+// full applicability test in ascending action index, so the scan order,
+// the successor order and every count equal those of a scan over all
+// actions. The index is a list of actions per fluent, so it grows with
+// the actions and not with their product with the fluents.
+//
 // An action set arrives as three flat arrays. For action a, the fluents
 // of its positive preconditions, negative preconditions, add effects and
 // delete effects are fluents[start[4a] .. start[4a+1]), then up to
@@ -71,27 +83,63 @@ void set_bits(Word* mask, const int* first, const int* last) {
 }
 
 // Actions as word masks: preconditions to test, add effects and the
-// complement of the delete effects to apply.
+// complement of the delete effects to apply; and the successor index
+// (see the header) that picks the actions to test.
 class Masks {
   public:
     Masks(const ActionSet& actions, int words)
-        : n_(actions.n), words_(words), bits_(size_t(actions.n) * PARTS * words, 0) {
+        : n_(actions.n), words_(words), action_words_(words_for(actions.n)),
+          bits_(size_t(actions.n) * PARTS * words, 0), always_(action_words_, 0),
+          watch_start_(size_t(words) * 64 + 1, 0), watch_action_(actions.n),
+          candidates_(action_words_) {
+        std::vector<int> consumers(watch_start_.size(), 0);
         for (int a = 0; a < n_; ++a) {
             for (int part = 0; part < PARTS; ++part)
                 set_bits(row(a, part), actions.begin(a, part), actions.end(a, part));
             Word* keep = row(a, DEL);
             for (int w = 0; w < words_; ++w) keep[w] = ~keep[w];
+            for (int w = 0; w < words_; ++w)
+                for (Word bits = row(a, PRE_POS)[w]; bits; bits &= bits - 1)
+                    ++consumers[w * 64 + __builtin_ctzll(bits)];
         }
+        // watched[a]: the fluent action a is watched under, -1 for none;
+        // then the actions watched under each fluent, in action order (CSR)
+        std::vector<int> watched(n_, -1);
+        for (int a = 0; a < n_; ++a) {
+            const Word* pos = row(a, PRE_POS);
+            for (int w = 0; w < words_; ++w)
+                for (Word bits = pos[w]; bits; bits &= bits - 1) {
+                    const int f = w * 64 + __builtin_ctzll(bits);
+                    if (watched[a] < 0 || consumers[f] < consumers[watched[a]]) watched[a] = f;
+                }
+            if (watched[a] < 0)
+                mark(&always_[0], a);
+            else
+                ++watch_start_[watched[a] + 1];
+        }
+        for (size_t f = 1; f < watch_start_.size(); ++f) watch_start_[f] += watch_start_[f - 1];
+        std::vector<int> fill(watch_start_.begin(), watch_start_.end() - 1);
+        for (int a = 0; a < n_; ++a)
+            if (watched[a] >= 0) watch_action_[fill[watched[a]]++] = a;
     }
 
-    int size() const { return n_; }
-
-    bool applicable(int a, const Word* state) const {
-        const Word* pos = row(a, PRE_POS);
-        const Word* neg = row(a, PRE_NEG);
+    // Calls visit(a) for each action a applicable in the state, in
+    // ascending order, until visit returns false.
+    template <class Visit>
+    void each_applicable(const Word* state, Visit visit) const {
+        Word* candidates = &candidates_[0];
+        std::copy(always_.begin(), always_.end(), candidates);
         for (int w = 0; w < words_; ++w)
-            if ((state[w] & pos[w]) != pos[w] || (state[w] & neg[w])) return false;
-        return true;
+            for (Word bits = state[w]; bits; bits &= bits - 1) {
+                const int f = w * 64 + __builtin_ctzll(bits);
+                for (int j = watch_start_[f]; j < watch_start_[f + 1]; ++j)
+                    mark(candidates, watch_action_[j]);
+            }
+        for (int k = 0; k < action_words_; ++k)
+            for (Word bits = candidates[k]; bits; bits &= bits - 1) {
+                const int a = k * 64 + __builtin_ctzll(bits);
+                if (applicable(a, state) && !visit(a)) return;
+            }
     }
 
     void apply(int a, const Word* state, Word* out) const {
@@ -101,11 +149,24 @@ class Masks {
     }
 
   private:
+    static void mark(Word* set, int a) { set[a >> 6] |= Word(1) << (a & 63); }
+
+    bool applicable(int a, const Word* state) const {
+        const Word* pos = row(a, PRE_POS);
+        const Word* neg = row(a, PRE_NEG);
+        for (int w = 0; w < words_; ++w)
+            if ((state[w] & pos[w]) != pos[w] || (state[w] & neg[w])) return false;
+        return true;
+    }
+
     Word* row(int a, int part) { return &bits_[(size_t(a) * PARTS + part) * words_]; }
     const Word* row(int a, int part) const { return &bits_[(size_t(a) * PARTS + part) * words_]; }
 
-    int n_, words_;
+    int n_, words_, action_words_;
     std::vector<Word> bits_;
+    std::vector<Word> always_;  // the actions without positive preconditions
+    std::vector<int> watch_start_, watch_action_;
+    mutable std::vector<Word> candidates_;  // scratch of each_applicable
 };
 
 // hmax: the delete-relaxed cost of reaching the goal fluents from a
@@ -394,8 +455,7 @@ int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
             return SOLVED;
         }
         ++out.expanded;
-        for (int a = 0; a < masks.size(); ++a) {
-            if (!masks.applicable(a, &state[0])) continue;
+        masks.each_applicable(&state[0], [&](int a) {
             masks.apply(a, &state[0], &succ[0]);
             const int64_t ng = e.g + actions.cost[a];
             const std::pair<int, bool> found = states.insert(&succ[0]);
@@ -405,7 +465,7 @@ int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
                 parent_action.push_back(a);
                 parent_state.push_back(e.sid);
             } else {
-                if (g_best[nid] <= ng) continue;
+                if (g_best[nid] <= ng) return true;
                 g_best[nid] = ng;
                 parent_action[nid] = a;
                 parent_state[nid] = e.sid;
@@ -413,9 +473,9 @@ int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
             ++out.generated;
             ++seq;
             const double h = informed ? h_of(&succ[0]) : 0.0;
-            if (h == INF) continue;
-            open.push(Entry{double(ng) + h, h, seq, ng, nid});
-        }
+            if (h != INF) open.push(Entry{double(ng) + h, h, seq, ng, nid});
+            return true;
+        });
         if (node_limit != 0 && states.size() > node_limit) return MEMOUT;
     }
     return UNSOLVABLE;
@@ -499,15 +559,14 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal
             const double h_here = own.h_of(&state[0]);
             if (h_here == INF) continue;  // proven dead end, never expand
             ++out.expanded;
-            for (int a = 0; a < own.masks.size(); ++a) {
-                if (!own.masks.applicable(a, &state[0])) continue;
+            own.masks.each_applicable(&state[0], [&](int a) {
                 own.masks.apply(a, &state[0], &succ[0]);
                 const std::pair<int, bool> found = states.insert(&succ[0]);
                 const int nid = found.first;
                 if (found.second) {
                     for (int s = 0; s < n_sides; ++s) sides[s]->track(-1);
                 } else if (own.g[nid] >= 0) {
-                    continue;
+                    return true;
                 }
                 const int64_t ng = e.g + own.cost[a];
                 own.g[nid] = ng;
@@ -517,11 +576,12 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal
                 ++out.generated;
                 if (other != NULL && other->g[nid] >= 0) {
                     meet = nid;
-                    break;
+                    return false;
                 }
                 // deferred evaluation: queue under the parent's h
                 own.open.push(Entry{h_here, h_here, ++own.seq, ng, nid});
-            }
+                return true;
+            });
             if (meet < 0 && node_limit != 0 && recorded > node_limit) return MEMOUT;
         }
     }

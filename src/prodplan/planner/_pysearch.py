@@ -16,6 +16,16 @@ and ``cost`` (fluent indices and an int):
   state generated by both sides; without one it is the plain
   single-frontier search.
 
+Neither search tests every action at every expansion. ``_watch`` builds
+a watched-precondition index once per action set and search (the
+successor generator of Fast Downward, Helmert, JAIR 26, 2006, cut down
+to STRIPS): each action is watched under its positive precondition with
+the fewest consumers, the lower fluent on a tie, and an action without
+positive preconditions is always a candidate. An expansion ORs the
+action masks watched under the state's true fluents and tests each
+candidate fully, in ascending action index, so the scan order, the
+successor order and every count equal those of a scan over all actions.
+
 The compiled backend (``_kernel``) mirrors this module; both expose the
 same functions with the same result conventions.
 """
@@ -137,14 +147,51 @@ def _lookup(tables):
 def _masks(actions):
     """An action set as lists indexed by action: the bit masks of the
     positive and negative preconditions, the add effects, the complement
-    of the delete effects, and the costs."""
+    of the delete effects, and the costs; then its successor index."""
     return (
         [_mask(a.pre_pos) for a in actions],
         [_mask(a.pre_neg) for a in actions],
         [_mask(a.add) for a in actions],
         [~_mask(a.delete) for a in actions],
         [a.cost for a in actions],
+        _watch(actions),
     )
+
+
+def _watch(actions):
+    """The successor index of an action set: (always, watched, watch).
+
+    Each action is watched under the positive precondition that the
+    fewest actions share, the lower fluent on a tie. ``watch`` maps the
+    bit of a fluent to the mask of the actions watched under it,
+    ``watched`` is the mask of those fluents, and ``always`` the mask of
+    the actions without positive preconditions. The candidates of a state
+    are ``always`` ORed with ``watch`` of each true bit of
+    ``state & watched``: a superset of its applicable actions.
+    """
+    consumers = {}
+    for action in actions:
+        for f in set(action.pre_pos):
+            consumers[f] = consumers.get(f, 0) + 1
+    always, watch = 0, {}
+    for a, action in enumerate(actions):
+        if not action.pre_pos:
+            always |= 1 << a
+            continue
+        f = min(action.pre_pos, key=lambda f: (consumers[f], f))
+        watch[1 << f] = watch.get(1 << f, 0) | 1 << a
+    return always, _mask(bit.bit_length() - 1 for bit in watch), watch
+
+
+def _candidates(state, index):
+    """The mask of the actions that may apply in ``state``, from ``_watch``."""
+    candidates, watched, watch = index
+    state &= watched
+    while state:
+        low = state & -state
+        candidates |= watch[low]
+        state ^= low
+    return candidates
 
 
 def _unwind(parents, state):
@@ -174,7 +221,7 @@ def astar(
     Returns (status, action_indices, cost, expanded, generated).
     """
     deadline = time.monotonic() + time_limit if time_limit else None
-    pre_pos_m, pre_neg_m, add_m, del_m, costs = _masks(actions)
+    pre_pos_m, pre_neg_m, add_m, del_m, costs, index = _masks(actions)
     goal_pos_m = _mask(goal_pos)
     goal_neg_m = _mask(goal_neg)
     start = _mask(init)
@@ -200,7 +247,11 @@ def astar(
         if (state & goal_pos_m) == goal_pos_m and not (state & goal_neg_m):
             return SOLVED, _unwind(parents, state), g, expanded, generated
         expanded += 1
-        for a in range(len(costs)):
+        candidates = _candidates(state, index)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            a = low.bit_length() - 1
             if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
                 continue
             succ = (state & del_m[a]) | add_m[a]
@@ -292,8 +343,12 @@ def greedy(
             if h_here == _INF:
                 continue  # proven dead end, never expand
             expanded += 1
-            pre_pos_m, pre_neg_m, add_m, del_m, costs = masks
-            for a in range(len(costs)):
+            pre_pos_m, pre_neg_m, add_m, del_m, costs, index = masks
+            candidates = _candidates(state, index)
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                a = low.bit_length() - 1
                 if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
                     continue
                 succ = (state & del_m[a]) | add_m[a]

@@ -462,7 +462,7 @@ def derive_domain(model: ProductionModel) -> tuple[PddlDomain, TransformReport]:
         cost_by_segment={s.id: s.duration.seconds() for s in segments},
         routing_graph=graph,
         objects=tuple(TypedName(name, type_) for name, _, type_ in objects),
-        init=_initial_state(model, graph, builder.drilling_used),
+        init=_initial_state(model, graph, builder.movement_used, builder.drilling_used),
     )
     return domain, report
 
@@ -470,12 +470,15 @@ def derive_domain(model: ProductionModel) -> tuple[PddlDomain, TransformReport]:
 def _initial_state(
     model: ProductionModel,
     graph: RoutingGraph | None,
+    movement_used: bool,
     drilling_used: bool,
     is_true=lambda equip, prop: prop.value,
 ) -> tuple[Atom | NumericInit, ...]:
     """Init atoms of a problem; forward and reverse problems differ only in
     the routing ``graph`` (edge direction and shuttle placements) and in
-    which equipment properties ``is_true(equip, prop)``."""
+    which equipment properties ``is_true(equip, prop)``. The graph's edges
+    are written only when a segment moves: only move actions read them,
+    and the domain declares their predicate only then."""
     init: list[Atom | NumericInit] = []
     for equip in model.equipment:
         for cid in equip.class_ids:
@@ -502,7 +505,7 @@ def _initial_state(
             if is_true(equip, prop):
                 init.append(Atom("EquipmentPropertyTrue", (_mangle("EP_", prop.id),)))
 
-    if graph is not None:
+    if movement_used:
         for source, target in graph.edges:
             init.append(
                 Atom(
@@ -510,6 +513,7 @@ def _initial_state(
                     (_mangle("E_", source), _mangle("E_", target)),
                 )
             )
+    if graph is not None:
         for shuttle, unit in graph.shuttle_at.items():
             init.append(
                 Atom("ShuttleLocation", (_mangle("E_", shuttle), _mangle("E_", unit)))
@@ -677,7 +681,7 @@ def derive_reverse_problem(
         Atom("ShuttleLocation", (_mangle("E_", shuttle), _mangle("E_", unit)))
         for shuttle, unit in graph.shuttle_at.items()
     ]
-    init = _initial_state(model, flipped, report.drilling_used, is_true)
+    init = _initial_state(model, flipped, True, report.drilling_used, is_true)
     return _problem(
         f"problem-{goal.id}-reverse", "problem-reverse", report.objects, init, goal_items
     )

@@ -21,7 +21,7 @@ from prodplan.model_io import (
     generate_ring_layout,
 )
 from prodplan.pddl import Plan, PlanStep, parse_domain, parse_problem
-from prodplan.planner import available_backends
+from prodplan.planner import _pysearch, available_backends
 from prodplan.planner.grounding import (
     MAX_ACTION_COST,
     GroundAction,
@@ -418,3 +418,47 @@ def test_bidirectional_reports_unsolvable(backend):
     )
     result = solve_bidirectional(ground(domain, fwd), ground(domain, rev), backend=backend)
     assert result.status == "unsolvable"
+
+
+def _walk_task():
+    """A walk along 70 cells, built by hand to reach every corner of the
+    successor index: 199 actions over 72 fluents (several words each), a
+    fluent repeated in ``pre_pos``, an action with no positive
+    precondition, and actions whose watched cell holds while their other
+    precondition fails (no key yet) or their negative one holds (still
+    blocked)."""
+    key, blocked = 70, 71
+    fluents = tuple(f"at c{i}" for i in range(70)) + ("key", "blocked")
+    steps = [GroundAction("step", (f"c{i}",), (i, i), (), (i + 1,), (i,), 2) for i in range(69)]
+    jumps = [GroundAction("jump", (f"c{i}",), (i, key), (), (i + 10,), (i,), 5) for i in range(60)]
+    take = GroundAction("take", (), (), (key,), (key,), (), 4)
+    skips = [
+        GroundAction("skip", (f"c{i}",), (i,), (blocked,), (i + 2,), (i,), 3) for i in range(68)
+    ]
+    unblock = GroundAction("unblock", (), (3,), (), (), (blocked,), 1)
+    actions = (*steps, *jumps, take, *skips, unblock)
+    return GroundTask(fluents, frozenset({0, blocked}), (69,), (), actions)
+
+
+def test_successor_index_watches_the_rarest_precondition():
+    task = _walk_task()
+    always, watched, watch = _pysearch._watch(task.actions)
+    take = next(a for a, action in enumerate(task.actions) if action.name == "take")
+    assert always == 1 << take
+    jump_0 = next(a for a, action in enumerate(task.actions) if action.name == "jump")
+    assert watch[1 << 0] >> jump_0 & 1  # at c0 has 3 consumers, the key 60
+    assert not watched >> 70 & 1
+
+
+@pytest.mark.parametrize(
+    "mode, heuristic", [("optimal", "hmax"), ("optimal", "blind"), ("greedy", "hmax")]
+)
+def test_successor_index_matches_a_scan_of_every_action(monkeypatch, mode, heuristic):
+    task = _walk_task()
+    every_action = (1 << len(task.actions)) - 1
+    with monkeypatch.context() as scan:
+        scan.setattr(_pysearch, "_candidates", lambda state, index: every_action)
+        reference = _outcome(solve(task, mode=mode, heuristic=heuristic, backend="pure"))
+    assert reference[0] == "solved"
+    for backend in BACKENDS:
+        assert _outcome(solve(task, mode=mode, heuristic=heuristic, backend=backend)) == reference

@@ -17,6 +17,7 @@ from prodplan.errors import (
 )
 from prodplan.model import build_routing_graph
 from prodplan.model_io import (
+    DRILL_DURATION_S,
     GoalSpec,
     generate_drill_goal,
     generate_permutation_goals,
@@ -34,10 +35,13 @@ from prodplan.pddl import (
     Not,
     TypedName,
     When,
+    parse_domain,
+    parse_problem,
     write_domain,
     write_problem,
 )
 from prodplan.pddl.ast import NumericInit
+from prodplan.planner.search import plan
 from prodplan.transform import (
     derive_domain,
     derive_problem,
@@ -525,3 +529,26 @@ def _derived_pddl_digest(model) -> str:
 )
 def test_derived_pddl_is_pinned(build, digest):
     assert _derived_pddl_digest(build()) == digest
+
+
+def test_a_drilling_model_that_never_moves_plans():
+    # the routing graph still places the shuttles, but without a move
+    # segment no connection atom may reach the initial state
+    model = generate_ring_layout(5, 0.65, with_robot_and_boards=True)
+    model = dataclasses.replace(
+        model,
+        process_segments=tuple(s for s in model.process_segments if s.id != "MoveShuttle"),
+    )
+    domain, report = derive_domain(model)
+    assert (report.movement_used, report.drilling_used) == (False, True)
+    # the robot reaches PU 2, where Shuttle-02 and its board are parked
+    goal = GoalSpec(id="drill-02", material_properties_true=(("Board-02", "HasHole"),))
+    problem = derive_problem(model, goal, report)
+    assert not any(
+        isinstance(a, Atom) and a.predicate == "PositioningUnitConnection" for a in problem.init
+    )
+    texts = parse_domain(write_domain(domain)), parse_problem(write_problem(problem))
+    for pddl in ((domain, problem), texts):
+        result = plan(*pddl)
+        assert (result.status, result.cost) == ("solved", DRILL_DURATION_S)
+        assert [step.action for step in result.plan.steps] == ["drillboard"]
