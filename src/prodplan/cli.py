@@ -16,6 +16,7 @@ recorded result, not an error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -437,10 +438,19 @@ def main(argv=None) -> int:
     if getattr(args, "heuristic", None) and args.mode == "greedy":
         parser.error("argument --heuristic: not allowed with --mode greedy")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
     except ProdplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed standard output. Point it at devnull so that
+        # the flush at exit does not raise again (the Python docs' note
+        # on SIGPIPE, whose exit status this keeps).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

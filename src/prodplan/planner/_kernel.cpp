@@ -9,8 +9,12 @@
 // It exports the same two searches: astar (hmax or blind) and greedy
 // (deferred greedy best-first on pattern databases), whose one loop runs
 // over the forward frontier alone or over a forward and a backward
-// frontier that meet in the middle. The pattern tables are built in
-// Python (patterns.py); the kernel only looks them up.
+// frontier that meet in the middle. It also builds the compiled core's
+// pattern tables: pattern_invariants runs the invariant fixpoint and
+// pattern_tables projects the actions onto each pattern and runs its
+// backward Dijkstra, over word bit sets, to the same results as
+// patterns.py's _invariants and _tables. patterns.py still finds the
+// variables and chooses the patterns between the two calls.
 //
 // A state is a set of fluents packed into 64-bit words. Every distinct
 // state is stored once in a registry and known by its index there; g
@@ -39,11 +43,13 @@
 // stride_a, var_b, stride_b), and a state's entry in it is
 // table[offset + value[var_a] * stride_a + value[var_b] * stride_b].
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -592,6 +598,366 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal
     return SOLVED;
 }
 
+// Rows of equal-width bit sets, numbered from 0.
+class BitRows {
+  public:
+    BitRows(size_t n, int words) : words_(words), bits_(n * words, 0) {}
+    Word* operator[](int r) { return bits_.data() + size_t(r) * words_; }
+    const Word* operator[](int r) const { return bits_.data() + size_t(r) * words_; }
+
+  private:
+    int words_;
+    std::vector<Word> bits_;
+};
+
+bool test_bit(const Word* set, int f) { return set[f >> 6] >> (f & 63) & 1; }
+void clear_bit(Word* set, int f) { set[f >> 6] &= ~(Word(1) << (f & 63)); }
+
+// Moves the bits of row that lie in mask into bad; true if there were any.
+bool take(Word* row, const Word* mask, Word* bad, int words) {
+    Word any = 0;
+    for (int w = 0; w < words; ++w) {
+        bad[w] = row[w] & mask[w];
+        row[w] ^= bad[w];
+        any |= bad[w];
+    }
+    return any != 0;
+}
+
+template <class Visit>
+void each_bit(const Word* set, int words, Visit visit) {
+    for (int w = 0; w < words; ++w)
+        for (Word bits = set[w]; bits; bits &= bits - 1) visit(w * 64 + __builtin_ctzll(bits));
+}
+
+// The invariant fixpoint of patterns.py (_invariants) over word bit sets:
+// the same candidates, actions and sweeps, so the same greatest fixpoint.
+// Variable v's values are members[var_start[v] .. var_start[v+1]).
+// Writes the implications of the k-th member to row k of implies, and
+// the values that imply the k-th needed-false fluent (ascending) to row
+// k of implied_by.
+void find_invariants(int n_fluents, int n_vars, const int* var_start, const int* members,
+                     const int* init, int n_init, const ActionSet& actions, Word* implies_out,
+                     Word* implied_by_out) {
+    const int words = words_for(n_fluents);
+    const int n_values = var_start[n_vars];
+    std::vector<int> var_of(n_fluents, -1), value_row(n_fluents, -1), false_row(n_fluents, -1);
+    BitRows var_mask(n_vars, words);
+    std::vector<Word> values(words, 0), needed(words, 0), in_init(words, 0);
+    for (int v = 0; v < n_vars; ++v)
+        for (int k = var_start[v]; k < var_start[v + 1]; ++k) {
+            var_of[members[k]] = v;
+            value_row[members[k]] = k;
+        }
+    for (int k = 0; k < n_values; ++k) {
+        set_bits(var_mask[var_of[members[k]]], members + k, members + k + 1);
+        set_bits(&values[0], members + k, members + k + 1);
+    }
+    for (int a = 0; a < actions.n; ++a)
+        set_bits(&needed[0], actions.begin(a, PRE_NEG), actions.end(a, PRE_NEG));
+    set_bits(&in_init[0], init, init + n_init);
+    int n_needed = 0;
+    each_bit(&needed[0], words, [&](int q) { false_row[q] = n_needed++; });
+
+    // the candidates the initial state allows (see _invariants)
+    BitRows implies(n_values, words), mutex(n_values, words), implied_by(n_needed, words);
+    for (int k = 0; k < n_values; ++k) {
+        const int p = members[k];
+        const bool now = test_bit(&in_init[0], p);
+        const Word* own = var_mask[var_of[p]];
+        for (int w = 0; w < words; ++w) {
+            implies[k][w] = needed[w] & ~own[w] & (now ? in_init[w] : ~Word(0));
+            mutex[k][w] = values[w] & ~own[w] & (now ? ~in_init[w] : ~Word(0));
+        }
+    }
+    each_bit(&needed[0], words, [&](int q) {
+        const bool now = test_bit(&in_init[0], q);
+        Word* row = implied_by[false_row[q]];
+        for (int w = 0; w < words; ++w)
+            row[w] = values[w] & ~(var_of[q] >= 0 ? var_mask[var_of[q]][w] : 0) &
+                     (now ? ~Word(0) : ~in_init[w]);
+    });
+
+    // per action: the value rows of its positive preconditions, the rows
+    // of its negative ones, and the values and needed-false fluents whose
+    // candidates it can break; then its masks: true and false by its
+    // preconditions alone, added, and deleted-not-added
+    struct Check {
+        std::vector<int> pre, pre_neg, made, unmade;
+    };
+    enum { TRUE_BEFORE, FALSE_BEFORE, ADDED, GONE, MASKS };
+    std::vector<Check> checks(actions.n);
+    BitRows masks(size_t(actions.n) * MASKS, words);
+    for (int a = 0; a < actions.n; ++a) {
+        Check& c = checks[a];
+        Word* true_before = masks[MASKS * a + TRUE_BEFORE];
+        Word* false_before = masks[MASKS * a + FALSE_BEFORE];
+        Word* add = masks[MASKS * a + ADDED];
+        Word* gone = masks[MASKS * a + GONE];
+        set_bits(true_before, actions.begin(a, PRE_POS), actions.end(a, PRE_POS));
+        set_bits(false_before, actions.begin(a, PRE_NEG), actions.end(a, PRE_NEG));
+        set_bits(add, actions.begin(a, ADD), actions.end(a, ADD));
+        set_bits(gone, actions.begin(a, DEL), actions.end(a, DEL));
+        for (int w = 0; w < words; ++w) gone[w] &= ~add[w];
+        for (const int* f = actions.begin(a, PRE_POS); f != actions.end(a, PRE_POS); ++f) {
+            if (var_of[*f] < 0) continue;
+            c.pre.push_back(value_row[*f]);
+            // the other values of its variable
+            const Word* own = var_mask[var_of[*f]];
+            for (int w = 0; w < words; ++w)
+                false_before[w] |= own[w] & ~(w == *f >> 6 ? Word(1) << (*f & 63) : 0);
+        }
+        for (const int* f = actions.begin(a, PRE_NEG); f != actions.end(a, PRE_NEG); ++f)
+            c.pre_neg.push_back(false_row[*f]);
+        for (int w = 0; w < words; ++w) {
+            const Word made = add[w] & values[w], unmade = gone[w] & needed[w];
+            for (Word bits = made; bits; bits &= bits - 1)
+                c.made.push_back(w * 64 + __builtin_ctzll(bits));
+            for (Word bits = unmade; bits; bits &= bits - 1)
+                c.unmade.push_back(w * 64 + __builtin_ctzll(bits));
+        }
+    }
+
+    // Sweep the actions, forward and backward in turn, until a sweep
+    // drops nothing. A dropped candidate leaves both directions at once.
+    std::vector<Word> true_before(words), false_before(words), not_true_after(words),
+        not_false_after(words), bad(words);
+    bool changed = true;
+    for (bool forward = true; changed; forward = !forward) {
+        changed = false;
+        for (int i = 0; i < actions.n; ++i) {
+            const int a = forward ? i : actions.n - 1 - i;
+            const Check& c = checks[a];
+            const Word* add = masks[MASKS * a + ADDED];
+            const Word* gone = masks[MASKS * a + GONE];
+            std::memcpy(&true_before[0], masks[MASKS * a + TRUE_BEFORE], words * sizeof(Word));
+            std::memcpy(&false_before[0], masks[MASKS * a + FALSE_BEFORE], words * sizeof(Word));
+            for (size_t j = 0; j < c.pre.size(); ++j)
+                for (int w = 0; w < words; ++w) {
+                    true_before[w] |= implies[c.pre[j]][w];
+                    false_before[w] |= mutex[c.pre[j]][w];
+                }
+            for (size_t j = 0; j < c.pre_neg.size(); ++j)
+                for (int w = 0; w < words; ++w) false_before[w] |= implied_by[c.pre_neg[j]][w];
+            for (int w = 0; w < words; ++w) {
+                not_true_after[w] = ~(add[w] | (true_before[w] & ~gone[w]));
+                not_false_after[w] = ~((gone[w] | false_before[w]) & ~add[w]);
+            }
+            for (size_t j = 0; j < c.made.size(); ++j) {
+                const int p = c.made[j];
+                if (take(implies[value_row[p]], &not_true_after[0], &bad[0], words)) {
+                    changed = true;
+                    each_bit(&bad[0], words, [&](int q) { clear_bit(implied_by[false_row[q]], p); });
+                }
+                if (take(mutex[value_row[p]], &not_false_after[0], &bad[0], words)) {
+                    changed = true;
+                    each_bit(&bad[0], words, [&](int r) { clear_bit(mutex[value_row[r]], p); });
+                }
+            }
+            for (size_t j = 0; j < c.unmade.size(); ++j) {
+                const int q = c.unmade[j];
+                if (take(implied_by[false_row[q]], &not_false_after[0], &bad[0], words)) {
+                    changed = true;
+                    each_bit(&bad[0], words, [&](int p) { clear_bit(implies[value_row[p]], q); });
+                }
+            }
+        }
+    }
+    if (n_values > 0) std::memcpy(implies_out, implies[0], size_t(n_values) * words * sizeof(Word));
+    if (n_needed > 0)
+        std::memcpy(implied_by_out, implied_by[0], size_t(n_needed) * words * sizeof(Word));
+}
+
+// One move between abstract states of a pattern, kept at its target
+// for the backward search.
+struct Edge {
+    int to, from;
+    int64_t cost;
+};
+
+// Fills dist[0 .. n_states) with each abstract state's cost to the
+// nearest of targets along edges; an entry never passes UNREACHED, and
+// the sums never overflow.
+void cost_to_targets(int n_states, const std::vector<Edge>& edges, const std::vector<int>& targets,
+                     int64_t* dist) {
+    std::vector<int> start(size_t(n_states) + 1, 0), from(edges.size());
+    std::vector<int64_t> cost(edges.size());
+    for (size_t e = 0; e < edges.size(); ++e) ++start[edges[e].to + 1];
+    for (int s = 0; s < n_states; ++s) start[s + 1] += start[s];
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (size_t e = 0; e < edges.size(); ++e) {
+        const int slot = fill[edges[e].to]++;
+        from[slot] = edges[e].from;
+        cost[slot] = edges[e].cost;
+    }
+    typedef std::pair<int64_t, int> Item;
+    std::priority_queue<Item, std::vector<Item>, std::greater<Item> > heap;
+    std::fill(dist, dist + n_states, UNREACHED);
+    for (size_t i = 0; i < targets.size(); ++i) {
+        dist[targets[i]] = 0;
+        heap.push(Item(0, targets[i]));
+    }
+    while (!heap.empty()) {
+        const Item top = heap.top();
+        heap.pop();
+        const int64_t d = top.first;
+        const int t = top.second;
+        if (d > dist[t]) continue;
+        for (int j = start[t]; j < start[t + 1]; ++j) {
+            const int s = from[j];
+            // d + cost[j] < dist[s], which holds only below UNREACHED
+            if (cost[j] < dist[s] - d) {
+                dist[s] = d + cost[j];
+                heap.push(Item(dist[s], s));
+            }
+        }
+    }
+}
+
+// The pattern tables of patterns.py (_tables): every action projected
+// onto the pattern variables, and one backward Dijkstra per pattern.
+// Variable v's values are the fluents values[var_start[v] ..
+// var_start[v+1]), where a negative entry stands for no fluent (the
+// false value of a binary variable), and its target values are
+// goal_values[goal_start[v] .. goal_start[v+1]). Row k of implied_by
+// holds the values that imply fluent false_fluents[k]. Pattern k is the
+// variables pattern_vars[2k] and pattern_vars[2k+1] (-1: none); its
+// table, indexed value_a * size_b + value_b, follows the one before it
+// in table.
+class TableBuilder {
+  public:
+    TableBuilder(int n_fluents, const ActionSet& actions, int n_vars, const int* var_start,
+                 const int* values, int n_false, const int* false_fluents,
+                 const Word* implied_by)
+        : cost_(actions.cost), var_start_(var_start), values_(values), words_(words_for(n_fluents)),
+          required_(actions.n), sets_(actions.n), forbidden_(actions.n, words_),
+          changers_(n_vars) {
+        std::vector<int> slot_var(n_fluents, -1), slot_value(n_fluents, 0), row(n_fluents, -1);
+        for (int v = 0; v < n_vars; ++v)
+            for (int k = var_start[v]; k < var_start[v + 1]; ++k)
+                if (values[k] >= 0) {
+                    slot_var[values[k]] = v;
+                    slot_value[values[k]] = k - var_start[v];
+                }
+        for (int k = 0; k < n_false; ++k) row[false_fluents[k]] = k;
+        std::vector<int> pre;
+        for (int a = 0; a < actions.n; ++a) {
+            pre.assign(actions.begin(a, PRE_POS), actions.end(a, PRE_POS));
+            std::sort(pre.begin(), pre.end());
+            pre.erase(std::unique(pre.begin(), pre.end()), pre.end());
+            for (size_t j = 0; j < pre.size(); ++j)
+                if (slot_var[pre[j]] >= 0)
+                    required_[a].push_back(Slot(slot_var[pre[j]], slot_value[pre[j]]));
+            // a variable takes at most one added value; a binary one
+            // that is deleted and not added becomes false
+            for (const int* f = actions.begin(a, ADD); f != actions.end(a, ADD); ++f)
+                if (slot_var[*f] >= 0) set(a, slot_var[*f], slot_value[*f], true);
+            for (const int* f = actions.begin(a, DEL); f != actions.end(a, DEL); ++f)
+                if (slot_var[*f] >= 0 && values[var_start[slot_var[*f]]] < 0)
+                    set(a, slot_var[*f], 0, false);
+            Word* forbidden = forbidden_[a];
+            set_bits(forbidden, actions.begin(a, PRE_NEG), actions.end(a, PRE_NEG));
+            for (const int* q = actions.begin(a, PRE_NEG); q != actions.end(a, PRE_NEG); ++q)
+                if (row[*q] >= 0)
+                    for (int w = 0; w < words_; ++w)
+                        forbidden[w] |= implied_by[size_t(row[*q]) * words_ + w];
+            for (size_t j = 0; j < sets_[a].size(); ++j) changers_[sets_[a][j].first].push_back(a);
+        }
+    }
+
+    // Fills the table of the pattern over variables a and b (b -1: none)
+    // into out, toward the targets goal_a x goal_b; returns its size.
+    int64_t table(int a, int b, const int* goal_a, int n_goal_a, const int* goal_b, int n_goal_b,
+                  int64_t* out) {
+        const int size_b = b >= 0 ? size(b) : 1;
+        const int n_states = size(a) * size_b;
+        std::vector<int> acting(changers_[a]);
+        if (b >= 0) {
+            acting.insert(acting.end(), changers_[b].begin(), changers_[b].end());
+            std::sort(acting.begin(), acting.end());
+            acting.erase(std::unique(acting.begin(), acting.end()), acting.end());
+        }
+        edges_.clear();
+        for (size_t j = 0; j < acting.size(); ++j) {
+            const int act = acting[j];
+            const int effect_a = project(act, a, allowed_a_);
+            int effect_b = -1;
+            if (b >= 0)
+                effect_b = project(act, b, allowed_b_);
+            else
+                allowed_b_.assign(1, 0);
+            for (size_t i = 0; i < allowed_a_.size(); ++i) {
+                const int s = allowed_a_[i] * size_b;
+                int t = effect_a < 0 ? s : effect_a * size_b;
+                if (effect_b < 0) {
+                    if (s != t)
+                        for (size_t k = 0; k < allowed_b_.size(); ++k)
+                            edges_.push_back(Edge{t + allowed_b_[k], s + allowed_b_[k], cost_[act]});
+                } else {
+                    t += effect_b;
+                    for (size_t k = 0; k < allowed_b_.size(); ++k)
+                        if (s + allowed_b_[k] != t)
+                            edges_.push_back(Edge{t, s + allowed_b_[k], cost_[act]});
+                }
+            }
+        }
+        targets_.clear();
+        for (int x = 0; x < n_goal_a; ++x)
+            for (int y = 0; y < n_goal_b; ++y) targets_.push_back(goal_a[x] * size_b + goal_b[y]);
+        cost_to_targets(n_states, edges_, targets_, out);
+        return n_states;
+    }
+
+  private:
+    typedef std::pair<int, int> Slot;  // (variable, value)
+
+    int size(int v) const { return var_start_[v + 1] - var_start_[v]; }
+
+    // Action a sets variable v to value; an added value wins over a
+    // deleted one, and a later added value over an earlier one.
+    void set(int a, int v, int value, bool added) {
+        for (size_t j = 0; j < sets_[a].size(); ++j)
+            if (sets_[a][j].first == v) {
+                if (added) sets_[a][j].second = value;
+                return;
+            }
+        sets_[a].push_back(Slot(v, value));
+    }
+
+    // The values of variable v that action a may start from: those it
+    // requires (all if none) that it does not forbid. Returns the value
+    // it moves v to, -1 if it leaves v alone.
+    int project(int a, int v, std::vector<int>& allowed) const {
+        const Word* forbidden = forbidden_[a];
+        const int* values = values_ + var_start_[v];
+        allowed.clear();
+        bool required = false;
+        for (size_t j = 0; j < required_[a].size(); ++j)
+            if (required_[a][j].first == v) {
+                required = true;
+                const int i = required_[a][j].second;
+                if (!test_bit(forbidden, values[i])) allowed.push_back(i);
+            }
+        if (!required)
+            for (int i = 0; i < size(v); ++i)
+                if (values[i] < 0 || !test_bit(forbidden, values[i])) allowed.push_back(i);
+        for (size_t j = 0; j < sets_[a].size(); ++j)
+            if (sets_[a][j].first == v) return sets_[a][j].second;
+        return -1;
+    }
+
+    const int64_t* cost_;
+    const int* var_start_;
+    const int* values_;
+    int words_;
+    std::vector<std::vector<Slot> > required_, sets_;
+    BitRows forbidden_;
+    std::vector<std::vector<int> > changers_;  // the actions that set each variable
+    // scratch of table()
+    std::vector<int> allowed_a_, allowed_b_, targets_;
+    std::vector<Edge> edges_;
+};
+
 // Copies a plan into memory the caller frees with release().
 int* hand_over(const std::vector<int>& plan, int64_t* length) {
     int* copy = static_cast<int*>(std::malloc(sizeof(int) * (plan.size() + 1)));
@@ -683,6 +1049,47 @@ int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
     }
     report(result, counts);
     return status;
+}
+
+// The invariants of patterns.py over fluents 0 .. n_fluents-1, written
+// to implies and implied_by as find_invariants says, words_for(n_fluents)
+// words a row. Returns 0, or MEMOUT when memory runs out.
+int pattern_invariants(int n_fluents, int n_vars, const int* var_start, const int* members,
+                       const int* init, int n_init, int n_actions, const int* start,
+                       const int* fluents, const int64_t* cost, Word* implies,
+                       Word* implied_by) {
+    try {
+        const ActionSet actions = {n_actions, start, fluents, cost};
+        find_invariants(n_fluents, n_vars, var_start, members, init, n_init, actions, implies,
+                        implied_by);
+        return 0;
+    } catch (const std::exception&) {  // only allocations throw
+        return MEMOUT;
+    }
+}
+
+// The tables of the patterns (see TableBuilder), laid end to end in
+// table. Returns 0, or MEMOUT when memory runs out.
+int pattern_tables(int n_fluents, int n_actions, const int* start, const int* fluents,
+                   const int64_t* cost, int n_vars, const int* var_start, const int* values,
+                   int n_false, const int* false_fluents, const Word* implied_by,
+                   const int* goal_start, const int* goal_values, int n_patterns,
+                   const int* pattern_vars, int64_t* table) {
+    try {
+        const ActionSet actions = {n_actions, start, fluents, cost};
+        TableBuilder builder(n_fluents, actions, n_vars, var_start, values, n_false, false_fluents,
+                             implied_by);
+        for (int k = 0; k < n_patterns; ++k) {
+            const int a = pattern_vars[2 * k], b = pattern_vars[2 * k + 1];
+            const int zero = 0;
+            table += builder.table(a, b, goal_values + goal_start[a], goal_start[a + 1] - goal_start[a],
+                                   b >= 0 ? goal_values + goal_start[b] : &zero,
+                                   b >= 0 ? goal_start[b + 1] - goal_start[b] : 1, table);
+        }
+        return 0;
+    } catch (const std::exception&) {  // only allocations throw
+        return MEMOUT;
+    }
 }
 
 }  // extern "C"

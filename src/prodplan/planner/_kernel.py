@@ -10,7 +10,11 @@ then uses the pure core; ``FAILURE`` then says why the build or load
 failed.
 
 ``astar`` and ``greedy`` take the arguments of the ``_pysearch``
-functions of the same names and return the same tuples.
+functions of the same names and return the same tuples. ``invariants``
+and ``tables`` are the two stages of ``patterns.pattern_tables`` that the
+kernel runs for the compiled core; they take the arguments of
+``patterns._invariants`` and ``patterns._tables`` and return the same
+values. Every index and cost passed to the kernel is checked here first.
 """
 
 from __future__ import annotations
@@ -18,8 +22,11 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import sys
 from array import array
-from ctypes import POINTER, byref, c_double, c_int, c_int64
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64
+from itertools import accumulate
+from math import prod
 from pathlib import Path
 
 from ._pysearch import H_MAX
@@ -28,7 +35,7 @@ NAME = "compiled"
 
 SOURCE = Path(__file__).with_name("_kernel.cpp")
 FLAGS = ("-O3", "-std=c++11", "-shared", "-fPIC")
-# Compiling takes about 2.5 s with g++ 12 -O3 on a 2-core x86-64 machine.
+# Compiling takes about 4 s with g++ 12 -O3 on a 2-core x86-64 machine.
 _BUILD_TIMEOUT_S = 600
 
 _INTS = POINTER(c_int)
@@ -38,6 +45,10 @@ _ACTIONS = [c_int, _INTS, _INTS, _COSTS]
 _PATTERNS = [c_int, _INTS, _INTS, c_int, _INTS, _COSTS]
 _LIMITS = [c_double, c_int64]
 _PLAN = [POINTER(_INTS), POINTER(c_int64)]
+_WORDS = POINTER(c_uint64)
+_VARIABLES = [c_int, _INTS, _INTS]
+# the largest table of one pattern the kernel numbers with its ints
+_TABLE_LIMIT = 2**31 - 1
 
 
 def _build() -> Path:
@@ -99,6 +110,12 @@ def _open():
     lib.greedy.restype = c_int
     lib.release.argtypes = [_INTS]
     lib.release.restype = None
+    lib.pattern_invariants.argtypes = [c_int, *_VARIABLES, *_FLUENTS, *_ACTIONS, _WORDS, _WORDS]
+    lib.pattern_invariants.restype = c_int
+    lib.pattern_tables.argtypes = [
+        c_int, *_ACTIONS, *_VARIABLES, c_int, _INTS, _WORDS, _INTS, _INTS, c_int, _INTS, _COSTS,
+    ]
+    lib.pattern_tables.restype = c_int
     return lib
 
 
@@ -136,9 +153,10 @@ def _actions(n_fluents, actions):
             flat.extend(part)
             start.append(len(flat))
         costs.append(action.cost)
-    if costs and min(costs) < 0:
-        # the kernel's heuristic files fluents in buckets indexed by cost
-        raise ValueError("action costs must not be negative")
+    if costs and not (0 <= min(costs) and max(costs) < 2**63):
+        # costs travel as int64, and the kernel's heuristic files fluents
+        # in buckets indexed by cost
+        raise ValueError("action costs must be from 0 to 2**63 - 1")
     _check(n_fluents, flat)
     return len(costs), _array(c_int, start), _array(c_int, flat), _array(c_int64, costs)
 
@@ -170,6 +188,99 @@ def _patterns(n_fluents, tables):
         _array(c_int, layout),
         _array(c_int64, tables.table),
     )
+
+
+def _words(n_fluents) -> int:
+    """The 64-bit words of one of the kernel's fluent bit sets."""
+    return (n_fluents + 63) // 64 or 1
+
+
+def _ragged(lists):
+    """Lists of ints as the kernel's (start, items) arrays: list k is
+    items[start[k] .. start[k+1])."""
+    items = [x for xs in lists for x in xs]
+    return _array(c_int, [0, *accumulate(map(len, lists))]), _array(c_int, items)
+
+
+def _variables(n_fluents, variables, lowest=0):
+    """Variables as the kernel's (count, start, values) arrays. A value
+    is a fluent or, from ``lowest`` -1 on, no fluent."""
+    values = [f for fs in variables for f in fs]
+    if values and not (lowest <= min(values) and max(values) < n_fluents):
+        raise ValueError(f"variable value outside {lowest}..{n_fluents - 1}")
+    return (len(variables), *_ragged(variables))
+
+
+def _rows(buffer, keys, words) -> dict[int, int]:
+    """Rows of ``words`` words each from the kernel, as int bit masks by key."""
+    raw, size = bytes(buffer), 8 * words
+    return {
+        key: int.from_bytes(raw[k * size : (k + 1) * size], sys.byteorder)
+        for k, key in enumerate(keys)
+    }
+
+
+def invariants(n_fluents, variables, init, actions):
+    """``patterns._invariants`` in the kernel: the same
+    (implies, implied_by) dicts of int bit masks."""
+    members = [f for values in variables for f in values]
+    if len(set(members)) != len(members):
+        raise ValueError("a fluent is a value of two variables")
+    needed = sorted({f for a in actions for f in a.pre_neg})
+    words = _words(n_fluents)
+    implies = (c_uint64 * (len(members) * words))()
+    implied_by = (c_uint64 * (len(needed) * words))()
+    status = LIB.pattern_invariants(
+        n_fluents,
+        *_variables(n_fluents, variables),
+        *_fluents(n_fluents, init),
+        *_actions(n_fluents, actions),
+        implies,
+        implied_by,
+    )
+    if status:
+        raise MemoryError("out of memory finding the pattern invariants")
+    return _rows(implies, members, words), _rows(implied_by, needed, words)
+
+
+def tables(n_fluents, actions, values, implied_by, patterns, goal):
+    """``patterns._tables`` in the kernel: the same list of entries."""
+    sizes = [len(fs) for fs in values]
+    false_fluents = sorted(implied_by)
+    _check(n_fluents, false_fluents)
+    if any(implied_by[q] < 0 or implied_by[q] >> n_fluents for q in false_fluents):
+        raise ValueError("implying values outside the fluents")
+    size = 8 * _words(n_fluents)
+    rows = b"".join(implied_by[q].to_bytes(size, sys.byteorder) for q in false_fluents)
+    for v, chosen in goal.items():
+        if not (0 <= v < len(values) and all(0 <= i < sizes[v] for i in chosen)):
+            raise ValueError("target variable or value out of range")
+    targets = [goal.get(v, range(n)) for v, n in enumerate(sizes)]
+    pairs, total = [], 0
+    for pattern in patterns:
+        if not (1 <= len(pattern) <= 2 and all(0 <= v < len(values) for v in pattern)):
+            raise ValueError("pattern variable out of range")
+        entries = prod(sizes[v] for v in pattern)
+        if entries > _TABLE_LIMIT:
+            raise ValueError("pattern table too large")
+        pairs += (*pattern, -1)[:2]
+        total += entries
+    table = array("q", bytes(8 * total))
+    status = LIB.pattern_tables(
+        n_fluents,
+        *_actions(n_fluents, actions),
+        *_variables(n_fluents, values, lowest=-1),
+        len(false_fluents),
+        _array(c_int, false_fluents),
+        (c_uint64 * (len(rows) // 8)).from_buffer_copy(rows),
+        *_ragged(targets),
+        len(patterns),
+        _array(c_int, pairs),
+        (c_int64 * total).from_buffer(table),
+    )
+    if status:
+        raise MemoryError("out of memory building the pattern tables")
+    return table.tolist()
 
 
 def _take(plan, length) -> list[int]:

@@ -10,7 +10,8 @@ and ``cost`` (fluent indices and an int):
 * ``greedy`` is deferred greedy best-first on pattern databases: children
   are queued under the parent's h and evaluated once when popped. h is
   looked up in tables that ``patterns.pattern_tables`` builds for each
-  side; a table entry of ``DEAD_END`` prunes the state. Given a backward
+  side, in Python for this core and in the kernel for the compiled one;
+  a table entry of ``DEAD_END`` prunes the state. Given a backward
   side it runs a second frontier from a complete goal state over
   inverted actions, alternating expansions and stopping at the first
   state generated by both sides; without one it is the plain

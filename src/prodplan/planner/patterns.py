@@ -35,6 +35,12 @@ task alone, in four steps:
 h is the maximum over the tables, so it never exceeds the cost to go,
 and an entry the target cannot be reached from is a proven dead end.
 The search cores only look the values up (see ``PatternTables``).
+
+Steps 1 and 3 run here for both cores. Steps 2 and 4 run here
+(``_invariants``, ``_tables``) for the pure core, and in the compiled
+core's kernel (``_kernel.invariants``, ``_kernel.tables``) for it, to the
+same results; the Python ones are also the reference the tests compare
+the kernel against.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import prod
 
 from ._pysearch import DEAD_END, _bits, _mask
 from .grounding import fluent_atom
@@ -74,30 +81,35 @@ def _variables(fluents, init: set[int], actions) -> list[tuple[int, ...]]:
         pred, *args = fluent_atom(name)
         for i in range(len(args)):
             groups.setdefault((pred, i, *args[:i], *args[i + 1 :]), []).append(f)
+    # the actions that add or delete each fluent: the others leave every
+    # group alone
+    touching: dict[int, list[int]] = {}
+    for k, a in enumerate(actions):
+        for f in {*a.add, *a.delete}:
+            touching.setdefault(f, []).append(k)
     taken: set[int] = set()
     variables = []
     for members in groups.values():
         group = set(members)
         if len(members) < 2 or len(group & init) != 1 or group & taken:
             continue
-        for a in actions:
-            if (group.intersection(a.add) or group.intersection(a.delete)) and (
-                len(group.intersection(a.add)) != 1
-                or not group.intersection(a.pre_pos, a.delete)
-            ):
-                break
-        else:
+        touched = (actions[k] for k in set().union(*(touching.get(f, ()) for f in members)))
+        if all(
+            len(group.intersection(a.add)) == 1 and group.intersection(a.pre_pos, a.delete)
+            for a in touched
+        ):
             variables.append(tuple(members))
             taken |= group
     return variables
 
 
-def _invariants(variables, init: set[int], actions):
+def _invariants(n_fluents, variables, init: set[int], actions):
     """Implications value → fluent and mutexes between values of different
     variables: the greatest set of candidates that every action keeps true
     given that all of them hold before it. Returns the implications both
     ways as bit masks of fluents: (implies, implied_by), dicts keyed by
-    variable value and by needed-false fluent."""
+    variable value and by needed-false fluent. ``n_fluents`` sizes only
+    the compiled core's bit sets (``_kernel.invariants``)."""
     var_of = {f: v for v, members in enumerate(variables) for f in members}
     var_mask = [_mask(members) for members in variables]
     values = _mask(var_of)
@@ -207,14 +219,14 @@ class _Projections:
     also rules out every value p with p → q, and it moves to the value it
     sets, or stays (None). ``changers[v]`` lists the actions that set v."""
 
-    def __init__(self, actions, domains: _Domains, implied_by, used):
-        self.values = domains.values
+    def __init__(self, actions, values, implied_by, used):
+        self.values = values
         self.required: list[dict[int, list[int]]] = []
         self.sets: list[dict[int, int]] = []
         self.forbidden: list[int] = []
         self.changers: dict[int, list[int]] = {v: [] for v in used}
         self.free: dict[tuple[int, int], list[int]] = {}
-        slot = domains.slot
+        slot = {f: (v, i) for v, fs in enumerate(values) for i, f in enumerate(fs) if f >= 0}
         for a, action in enumerate(actions):
             required: dict[int, list[int]] = {}
             for f in sorted(set(action.pre_pos)):
@@ -298,12 +310,38 @@ def _table(sizes, goal: list, moves) -> list[int]:
     return dist
 
 
-def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
+def _tables(n_fluents, actions, values, implied_by, patterns, goal) -> list[int]:
+    """The table of each pattern over the variables ``values`` (see
+    ``_Domains``), laid end to end: every action projected onto the
+    pattern variables, and one backward Dijkstra per pattern toward the
+    target values ``goal[v]`` (all values where v has none). ``n_fluents``
+    sizes only the compiled core's bit sets (``_kernel.tables``)."""
+    used = sorted({v for pattern in patterns for v in pattern})
+    projection = _Projections(actions, values, implied_by, used)
+    flat: list[int] = []
+    for pattern in patterns:
+        sizes = [len(values[v]) for v in pattern]
+        full_goal = [goal.get(v, range(size)) for v, size in zip(pattern, sizes)]
+        changers = set().union(*(projection.changers[v] for v in pattern))
+        moves = [(actions[a].cost, *(projection(a, v) for v in pattern)) for a in changers]
+        flat += _table(sizes, full_goal, moves)
+    return flat
+
+
+def pattern_tables(fluents, init, goal_pos, goal_neg, actions, core=None) -> PatternTables:
     """The pattern heuristic of a search from ``init`` over ``actions``
-    toward the fluents ``goal_pos`` true and ``goal_neg`` false."""
+    toward the fluents ``goal_pos`` true and ``goal_neg`` false.
+
+    ``core`` is the backend module of the search (None: the pure one).
+    The compiled core finds the invariants and builds the tables in its
+    kernel (``_kernel.invariants`` and ``_kernel.tables``), to the same
+    results as ``_invariants`` and ``_tables`` here.
+    """
+    invariants = getattr(core, "invariants", _invariants)
+    tables = getattr(core, "tables", _tables)
     init = set(init)
     variables = _variables(fluents, init, actions)
-    implies, implied_by = _invariants(variables, init, actions)
+    implies, implied_by = invariants(len(fluents), variables, init, actions)
     domains = _Domains(variables)
     n_multi = len(variables)
 
@@ -340,10 +378,8 @@ def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
         )
         patterns += [(b, v) for v in needed if v < n_multi] or [(b,)]
 
-    used = sorted({v for pattern in patterns for v in pattern})
-    projection = _Projections(actions, domains, implied_by, used)
-
     # number the variables the patterns use, and lay the tables end to end
+    used = sorted({v for pattern in patterns for v in pattern})
     number = {v: k for k, v in enumerate(used)}
     var_of = [-1] * len(fluents)
     value_of = [0] * len(fluents)
@@ -351,20 +387,17 @@ def pattern_tables(fluents, init, goal_pos, goal_neg, actions) -> PatternTables:
         for i, f in enumerate(domains.values[v]):
             if f >= 0:
                 var_of[f], value_of[f] = k, i
-    flat: list[int] = []
     layout = []
+    offset = 0
     for pattern in patterns:
         sizes = [len(domains.values[v]) for v in pattern]
-        full_goal = [goal.get(v, range(size)) for v, size in zip(pattern, sizes)]
-        changers = set().union(*(projection.changers[v] for v in pattern))
-        moves = [(actions[a].cost, *(projection(a, v) for v in pattern)) for a in changers]
-        entries = _table(sizes, full_goal, moves)
         a = number[pattern[0]]
         if len(pattern) == 2:
-            layout.append((len(flat), a, sizes[1], number[pattern[1]], 1))
+            layout.append((offset, a, sizes[1], number[pattern[1]], 1))
         else:
-            layout.append((len(flat), a, 1, a, 0))
-        flat += entries
+            layout.append((offset, a, 1, a, 0))
+        offset += prod(sizes)
+    flat = tables(len(fluents), actions, domains.values, implied_by, patterns, goal)
     return PatternTables(
         len(number), tuple(var_of), tuple(value_of), tuple(layout), tuple(flat)
     )

@@ -92,7 +92,7 @@ def solve(
         from .patterns import pattern_tables
 
         building = time.monotonic()
-        tables = pattern_tables(task.fluents, *args[1:])
+        tables = pattern_tables(task.fluents, *args[1:], core=module)
         heuristic_ms = (time.monotonic() - building) * 1000.0
         limits = {"time_limit": _remaining(time_limit, started), "node_limit": node_limit}
         status, steps, _, cost, *counts = module.greedy(*args, tables, **limits)
@@ -215,8 +215,10 @@ def solve_bidirectional(
 
     init = sorted(task.init)
     building = time.monotonic()
-    tables = pattern_tables(task.fluents, init, task.goal_pos, task.goal_neg, task.actions)
-    b_tables = pattern_tables(task.fluents, init_b, init, (), r_actions)
+    tables = pattern_tables(
+        task.fluents, init, task.goal_pos, task.goal_neg, task.actions, core=module
+    )
+    b_tables = pattern_tables(task.fluents, init_b, init, (), r_actions, core=module)
     heuristic_ms = (time.monotonic() - building) * 1000.0
     status, fwd_idx, bwd_idx, cost, expanded, generated = module.greedy(
         len(task.fluents),

@@ -14,6 +14,18 @@ from prodplan.errors import BackendUnavailable
 
 COMPILER = shlex.split(sysconfig.get_config_var("CXX") or "c++")[0]
 HAS_COMPILER = shutil.which(COMPILER) is not None
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _has_ubsan() -> bool:
+    """Whether the compiler finds the undefined-behaviour sanitizer's
+    runtime (it prints the bare name when it does not)."""
+    if not HAS_COMPILER:
+        return False
+    proc = subprocess.run(
+        [COMPILER, "-print-file-name=libubsan.so"], capture_output=True, text=True, timeout=60
+    )
+    return os.path.isabs(proc.stdout.strip()) and os.path.exists(proc.stdout.strip())
 
 
 def _backend(env) -> str:
@@ -136,3 +148,52 @@ def test_kernel_compiles_without_warnings(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs the table builds and both searches on the kernel the process
+# loaded, then again on one built with the undefined-behaviour sanitizer
+# into the cache directory argv[1], and prints whether they agree. Any
+# undefined behaviour aborts the process.
+_SANITIZED = """
+import json, os, sys
+sys.path.insert(0, {tests!r})
+from prodplan.planner import _kernel
+from prodplan.planner.patterns import pattern_tables
+from prodplan.planner.search import _backward_input, solve, solve_bidirectional
+from test_search import _ring_task
+
+ring, reverse = _ring_task(9, reverse=True)
+drilling = _ring_task(7, drilling=True)
+init_b, r_actions = _backward_input(ring, reverse)
+sides = [
+    (t.fluents, sorted(t.init), t.goal_pos, t.goal_neg, t.actions) for t in (ring, drilling)
+] + [(ring.fluents, init_b, sorted(ring.init), (), r_actions)]
+
+def outcomes():
+    results = [solve(t, backend="compiled") for t in (ring, drilling)]
+    results += [solve(t, mode="greedy", backend="compiled") for t in (ring, drilling)]
+    results.append(solve_bidirectional(ring, reverse, backend="compiled"))
+    return [pattern_tables(*side, core=_kernel) for side in sides] + [
+        (r.status, r.plan, r.cost, r.expanded, r.generated) for r in results
+    ]
+
+normal = outcomes()
+os.environ["XDG_CACHE_HOME"] = sys.argv[1]
+_kernel.FLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all", "-O1")
+_kernel.LIB = _kernel._open()
+print(json.dumps(outcomes() == normal))
+"""
+
+
+@pytest.mark.skipif(not _has_ubsan(), reason="needs a C++ compiler with libubsan")
+def test_kernel_shows_no_undefined_behaviour(tmp_path, child_pythonpath):
+    cache = tmp_path / "cache"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SANITIZED.format(tests=TESTS), str(cache)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "true"
+    assert len(_files(cache)) == 1  # the sanitized kernel, built afresh

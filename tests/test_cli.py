@@ -645,6 +645,27 @@ def test_bench_csv(tmp_path, capsys):
     assert 0 < float(row["heuristicMs"]) <= float(row["wallTimeMs"])
 
 
+def test_a_closed_stdout_ends_quietly(child_pythonpath, monkeypatch):
+    # unbuffered, so each line is written when printed and the ones after
+    # the first meet the closed pipe
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    command = ["bench", "--sizes", "9,9,9", "--mode", "greedy"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prodplan.cli", *command],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("size-9 ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_bench_drilling(tmp_path):
     csv_path = tmp_path / "drill.csv"
     assert main(["bench", "--sizes", "5", "--drilling", "--csv", str(csv_path)]) == 0

@@ -16,8 +16,8 @@ import pytest
 from prodplan.demo import build_demo_model
 from prodplan.model_io import generate_permutation_goals
 from prodplan.pddl import parse_domain, parse_problem
-from prodplan.planner import available_backends
-from prodplan.planner._pysearch import _lookup
+from prodplan.planner import available_backends, backend_module
+from prodplan.planner._pysearch import DEAD_END, _lookup
 from prodplan.planner.grounding import fluent_atom, ground
 from prodplan.planner.patterns import _invariants, _variables, pattern_tables
 from prodplan.planner.search import solve, solve_bidirectional, validate_plan
@@ -143,7 +143,7 @@ def test_ring_variables_are_shuttle_positions_that_occupy_their_unit(size):
         for f, (pred, *args) in enumerate(atoms)
         if pred == "equipmentpropertytrue"
     }
-    implies, _ = _invariants(variables, init, task.actions)
+    implies, _ = _invariants(len(task.fluents), variables, init, task.actions)
     for members in positions.values():
         for p in members:
             assert implies[p] >> occupied[atoms[p][2]] & 1, task.fluents[p]
@@ -174,3 +174,77 @@ def test_compiled_backend_rejects_tables_that_index_past_their_end():
     for broken in (short, shifted):
         with pytest.raises(ValueError):
             _kernel.greedy(len(task.fluents), init, task.goal_pos, (), task.actions, broken)
+
+
+def _stage_inputs(task):
+    """The arguments ``pattern_tables`` passes to the compiled core's
+    ``invariants`` and ``tables`` on ``task``."""
+    compiled = backend_module("compiled")
+    seen = {}
+
+    class Recording:
+        def invariants(*args):
+            seen["invariants"] = args
+            return compiled.invariants(*args)
+
+        def tables(*args):
+            seen["tables"] = args
+            return compiled.tables(*args)
+
+    init = sorted(task.init)
+    pattern_tables(task.fluents, init, task.goal_pos, task.goal_neg, task.actions, core=Recording)
+    return seen["invariants"], seen["tables"]
+
+
+def _broken_inputs(invariants, tables):
+    """(stage, arguments) pairs, each with one index or cost out of range."""
+    n, variables, init, actions = invariants
+    _, _, values, implied_by, patterns, goal = tables
+    q = min(implied_by)
+    move = actions[0]
+    for bad_actions in (
+        [dataclasses.replace(move, add=(n,)), *actions[1:]],
+        [dataclasses.replace(move, pre_neg=(-1,)), *actions[1:]],
+        [dataclasses.replace(move, cost=-1), *actions[1:]],
+        [dataclasses.replace(move, cost=2**63), *actions[1:]],
+    ):
+        yield "invariants", (n, variables, init, bad_actions)
+        yield "tables", (n, bad_actions, values, implied_by, patterns, goal)
+    yield "invariants", (n, [*variables, (n,)], init, actions)
+    yield "invariants", (n, [*variables, (-1, 0)], init, actions)
+    yield "invariants", (n, [*variables, variables[0][:1]], init, actions)
+    yield "invariants", (n, variables, {*init, n}, actions)
+    yield "tables", (n, actions, [*values, (-2, 0)], implied_by, patterns, goal)
+    yield "tables", (n, actions, [*values, (-1, n)], implied_by, patterns, goal)
+    yield "tables", (n, actions, values, {**implied_by, n: 0}, patterns, goal)
+    yield "tables", (n, actions, values, {**implied_by, q: 1 << n}, patterns, goal)
+    yield "tables", (n, actions, values, {**implied_by, q: -1}, patterns, goal)
+    yield "tables", (n, actions, values, implied_by, [*patterns, (len(values),)], goal)
+    yield "tables", (n, actions, values, implied_by, [*patterns, ()], goal)
+    yield "tables", (n, actions, values, implied_by, patterns, {**goal, len(values): [0]})
+    yield "tables", (n, actions, values, implied_by, patterns, {0: [len(values[0])]})
+    yield "tables", (n, actions, values, implied_by, patterns, {0: [-1]})
+    # one pattern of 50,000 x 50,000 entries
+    wide = [*values, (-1,) * 50_000]
+    yield "tables", (n, actions, wide, implied_by, [(len(values), len(values))], goal)
+
+
+@pytest.mark.skipif("compiled" not in available_backends(), reason="needs the compiled backend")
+def test_compiled_pattern_stages_reject_input_out_of_range():
+    compiled = backend_module("compiled")
+    invariants, tables = _stage_inputs(_ring_task(5))
+    for k, (stage, args) in enumerate(_broken_inputs(invariants, tables)):
+        with pytest.raises(ValueError):
+            getattr(compiled, stage)(*args)
+            pytest.fail(f"case {k} was accepted")
+
+
+@pytest.mark.skipif("compiled" not in available_backends(), reason="needs the compiled backend")
+@pytest.mark.parametrize("cost", [2**61, DEAD_END - 1, 2**63 - 1])
+def test_compiled_table_entries_saturate_at_dead_end(cost):
+    task = _ring_task(5)
+    actions = [dataclasses.replace(a, cost=cost) for a in task.actions]
+    args = (task.fluents, sorted(task.init), task.goal_pos, task.goal_neg, actions)
+    compiled = pattern_tables(*args, core=backend_module("compiled"))
+    assert compiled == pattern_tables(*args)
+    assert max(compiled.table) == DEAD_END and min(compiled.table) == 0

@@ -6,7 +6,8 @@ gets random partial placement goals, plus the drill goal where there is
 one. Every task is checked against its exact costs to go (a backward
 Dijkstra over the reachable state graph, ``test_patterns``): A* finds
 the optimal cost, greedy solves exactly the solvable tasks, the greedy
-tables never overestimate, and both cores return the same searches.
+tables never overestimate, and both cores build the same tables and
+return the same searches.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import random
 import pytest
 
 from prodplan.model_io import GoalSpec, generate_drill_goal, track_layout
-from prodplan.planner import available_backends
+from prodplan.pddl import parse_domain, parse_problem
+from prodplan.planner import available_backends, backend_module
 from prodplan.planner.grounding import ground
+from prodplan.planner.patterns import _variables, pattern_tables
 from prodplan.planner.search import solve, validate_plan
 from prodplan.transform import derive_domain, derive_problem
 
@@ -125,3 +128,29 @@ def test_both_cores_return_the_same_searches():
                 for b in ("pure", "compiled")
             )
             assert pure == compiled, (name, mode, heuristic)
+
+
+def _switch_task():
+    """A task without a multi-valued variable: lighting a lamp leaves the
+    one before it lit, so no group of fluents is one variable."""
+    domain = parse_domain(
+        "(define (domain lamps) (:predicates (lit ?x) (wired ?x ?y))"
+        " (:action light :parameters (?x ?y)"
+        "   :precondition (and (wired ?x ?y) (lit ?x) (not (lit ?y)))"
+        "   :effect (lit ?y)))"
+    )
+    problem = parse_problem(
+        "(define (problem p) (:domain lamps) (:objects a b c)"
+        " (:init (lit a) (wired a b) (wired b c)) (:goal (lit c)))"
+    )
+    return ground(domain, problem)
+
+
+@pytest.mark.skipif("compiled" not in available_backends(), reason="needs the compiled backend")
+def test_both_cores_build_the_same_tables():
+    switch = _switch_task()
+    assert _variables(switch.fluents, set(switch.init), switch.actions) == []
+    compiled = backend_module("compiled")
+    for name, task in [*((name, task) for name, task, _ in _tasks()), ("switch", switch)]:
+        args = (task.fluents, sorted(task.init), task.goal_pos, task.goal_neg, task.actions)
+        assert pattern_tables(*args, core=compiled) == pattern_tables(*args), name
