@@ -1,9 +1,10 @@
 """prodplan: compile production-system models to PDDL, plan, and merge
 the plans back into the model as operations data.
 
-The pipeline: load model -> derive domain -> derive problem per goal ->
-serialize/parse PDDL -> ``plan``: ground, solve (embedded A*/greedy or an
-external solver) and validate -> operations records -> integrated model.
+The pipeline: load model -> ``plan_goals``: derive domain -> derive
+problem per goal -> optionally write and parse PDDL -> ``plan`` per goal:
+ground, solve (embedded A*/greedy or an external solver) and validate ->
+operations record per goal -> ``merge``: integrated model.
 
 ``import prodplan`` loads no submodule. Each name in ``__all__`` is
 imported from the submodule named in ``_EXPORTS`` on first use (PEP 562),
@@ -57,6 +58,7 @@ _EXPORTS = {
     "parse_plan": "pddl",
     "parse_problem": "pddl",
     "plan": "planner",
+    "plan_goals": "operations",
     "plan_to_operations": "operations",
     "save_goal_model": "model_io",
     "save_integrated_model": "model_io",

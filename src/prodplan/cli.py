@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 # Only what `solve` runs is imported here: each other subcommand imports
 # the model side (model_io, transform, operations) itself, so a solver
 # child started per goal loads just parse -> ground -> search.
 from .errors import ProdplanError, ValidationError
-from .pddl import parse_domain, parse_problem, write_domain, write_plan, write_problem
+from .pddl import parse_domain, parse_problem, write_plan
 from .planner import backend_name
 from .planner.search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, plan
 
@@ -121,17 +120,16 @@ class _Version(argparse.Action):
         parser.exit()
 
 
-def _planner(args, domain):
-    """``plan`` on ``domain`` with the command line's solver options."""
-    search = {
+def _search(args) -> dict:
+    """The command line's solver options as ``plan``'s keywords."""
+    return {
         "mode": args.mode,
+        "heuristic": args.heuristic,
         "time_limit": args.timeout,
         "node_limit": args.node_limit,
         "backend": args.backend,
+        "solver_cmd": args.solver_cmd,
     }
-    if args.heuristic:
-        search["heuristic"] = args.heuristic
-    return partial(plan, domain, solver_cmd=args.solver_cmd, **search)
 
 
 def _report_line(goal_id: str, result) -> str:
@@ -167,38 +165,27 @@ def _write_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def _plan_goals(args, model, report, domain, goals, problems, out: Path, parallel=1):
-    """Plan each goal, write its plan file and merge all records into
+def _plan_goals(args, model, goals, out: Path, **options):
+    """Plan the goals with ``plan_goals``, then create ``out``, write each
+    solved goal's plan file and merge the records into
     ``out/integrated.json``; returns the search results in goal order."""
     from .model_io import save_integrated_model
-    from .operations import merge, plan_to_operations, unsolvable_record
+    from .operations import merge, plan_goals
 
-    run = _planner(args, domain)
-    workdirs = [out / "solver" / goal.id for goal in goals]
-    if parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # One chunk per worker: a chunk is pickled once, so each worker
-        # unpickles one domain object for all its goals and grounds the
-        # goal-independent half once (see planner.grounding.ground).
-        chunk = max(1, -(-len(goals) // parallel))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(run, problems, workdirs, chunksize=chunk))
-    else:
-        results = map(run, problems, workdirs)
-
+    # plan_goals refuses two goals with one id before out is created
+    planned = plan_goals(model, goals, workdir=out / "solver", **options, **_search(args))
+    out.mkdir(parents=True, exist_ok=True)
     done = []
     records = []
-    for goal, result in zip(goals, results):
+    for goal, result, record in planned:
         print(_report_line(goal.id, result))
         done.append(result)
         if result.solved:
             (out / f"plan-{goal.id}.txt").write_text(
                 write_plan(result.plan), encoding="utf-8"
             )
-            records.append(plan_to_operations(result.plan, report, goal.id))
-        elif result.status == "unsolvable":
-            records.append(unsolvable_record(goal.id))
+        if record is not None:
+            records.append(record)
     save_integrated_model(merge(model, records), out / "integrated.json")
     solved = sum(1 for result in done if result.solved)
     print(f"{solved}/{len(done)} goals solved; wrote {out / 'integrated.json'}")
@@ -233,40 +220,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from collections import Counter
-
     from .model_io import load_goal_model, load_production_model
-    from .transform import derive_domain, derive_problem
 
     model = load_production_model(args.model)
     goals = [load_goal_model(path, model) for path in args.goal]
-    # each goal's files are named by its id, so one id must not name two goals
-    counts = Counter(goal.id for goal in goals)
-    repeated = sorted(gid for gid, n in counts.items() if n > 1)
-    if repeated:
-        raise ValidationError(f"goal id {gid!r} names {counts[gid]} goals" for gid in repeated)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    domain, report = derive_domain(model)
-    problems = [derive_problem(model, goal, report) for goal in goals]
-
-    if args.emit_pddl or args.use_emitted:
-        (out / "domain.pddl").write_text(write_domain(domain), encoding="utf-8")
-        for goal, problem in zip(goals, problems):
-            (out / f"problem-{goal.id}.pddl").write_text(
-                write_problem(problem), encoding="utf-8"
-            )
-    if args.use_emitted:
-        domain = parse_domain((out / "domain.pddl").read_text(encoding="utf-8"))
-        problems = [
-            parse_problem(
-                (out / f"problem-{goal.id}.pddl").read_text(encoding="utf-8")
-            )
-            for goal in goals
-        ]
-
-    _plan_goals(args, model, report, domain, goals, problems, out)
+    emit_dir = out if args.emit_pddl or args.use_emitted else None
+    _plan_goals(args, model, goals, out, emit_dir=emit_dir, from_text=args.use_emitted)
     return 0
 
 
@@ -277,17 +237,10 @@ def cmd_pipeline(args) -> int:
 
 def cmd_permutations(args) -> int:
     from .model_io import generate_permutation_goals, load_production_model
-    from .transform import derive_domain, derive_problem
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = load_production_model(args.model)
     goals = generate_permutation_goals(model)
-    domain, report = derive_domain(model)
-    problems = [derive_problem(model, goal, report) for goal in goals]
-    results = _plan_goals(
-        args, model, report, domain, goals, problems, out, args.parallel
-    )
+    results = _plan_goals(args, model, goals, Path(args.out), parallel=args.parallel)
     if args.csv:
         _write_csv(args.csv, [_csv_row(model, args.mode, r) for r in results])
     return 0
@@ -300,7 +253,7 @@ def cmd_permutations(args) -> int:
 
 def cmd_bench(args) -> int:
     from .model_io import generate_drill_goal, generate_reverse_goal, generate_ring_layout
-    from .transform import derive_domain, derive_problem
+    from .operations import plan_goals
 
     rows = []
     for size in args.sizes:
@@ -308,9 +261,7 @@ def cmd_bench(args) -> int:
             size, args.load_factor, with_robot_and_boards=args.drilling
         )
         goal = generate_drill_goal(model) if args.drilling else generate_reverse_goal(model)
-        domain, report = derive_domain(model)
-        problem = derive_problem(model, goal, report)
-        result = _planner(args, domain)(problem)
+        ((_, result, _),) = plan_goals(model, [goal], **_search(args))
         row = _csv_row(model, args.mode, result)
         rows.append(row)
         label = f"size-{size} ({row['shuttles']} shuttles, {args.mode})"
@@ -350,7 +301,7 @@ def cmd_gen_layout(args) -> int:
 def cmd_solve(args) -> int:
     domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
     problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    result = _planner(args, domain)(problem)
+    result = plan(domain, problem, **_search(args))
     print(_report_line(problem.name, result))
     if result.solved and args.plan_out:
         Path(args.plan_out).write_text(write_plan(result.plan), encoding="utf-8")

@@ -69,17 +69,20 @@ def _result(
 def solve(
     task: GroundTask,
     mode: str = "optimal",
-    heuristic: str = "hmax",
+    heuristic: str | None = None,
     time_limit: float | None = DEFAULT_TIME_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
     backend: str | None = None,
 ) -> SearchResult:
-    """Run A* (optimal, blind or hmax) or greedy best-first on pattern
-    databases (see ``patterns``)."""
+    """Run A* (optimal) on ``heuristic`` "blind" or "hmax", where None
+    means hmax, or greedy best-first on pattern databases (see
+    ``patterns``), which takes no heuristic."""
     if mode not in ("optimal", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if heuristic not in ("blind", "hmax"):
+    if heuristic not in (None, "blind", "hmax"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
+    if mode == "greedy" and heuristic is not None:
+        raise ValueError(f"greedy search takes no heuristic, got {heuristic!r}")
     module = backend_module(backend)
     started = time.monotonic()
     if task.goal_statically_false:

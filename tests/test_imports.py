@@ -52,6 +52,12 @@ def test_cli_loads_only_the_solve_path(child_pythonpath):
     assert {"prodplan.pddl", "prodplan.planner.grounding", "prodplan.planner.search"} <= loaded
 
 
+def test_operations_loads_no_search_code(child_pythonpath):
+    loaded = _loaded_after("import prodplan.operations")
+    assert sorted(m for m in loaded if m.startswith("prodplan.planner")) == []
+    assert "concurrent.futures" not in loaded
+
+
 def test_commands_that_never_search_never_build_the_kernel(tmp_path, child_pythonpath):
     from prodplan import build_demo_model, save_production_model
 

@@ -9,6 +9,7 @@ from prodplan.errors import (
     PlanError,
     UnknownActionName,
     UnknownObjectId,
+    ValidationError,
 )
 from prodplan.operations import merge, operations_to_plan, plan_to_operations, unsolvable_record
 from prodplan.model_io import (
@@ -163,3 +164,10 @@ def test_merge_rejects_foreign_elements(solved):
     )
     with pytest.raises(DanglingReference):
         merge(model, [record.__class__("g", True, (bad_binding,), 10)])
+
+
+def test_merge_refuses_two_records_for_one_goal():
+    records = [unsolvable_record(goal_id) for goal_id in ("g", "h", "g", "i", "i", "g")]
+    with pytest.raises(ValidationError) as err:
+        merge(build_demo_model(), records)
+    assert err.value.diagnostics == ["goal id 'g' names 3 goals", "goal id 'i' names 2 goals"]

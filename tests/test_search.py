@@ -78,7 +78,7 @@ def test_backends_return_identical_plans():
     for goal_id, task in cases:
         for mode in ("optimal", "greedy"):
             outcomes = {
-                _outcome(solve(task, mode=mode, heuristic="hmax", backend=b))
+                _outcome(solve(task, mode=mode, backend=b))
                 for b in BACKENDS
             }
             assert len(outcomes) == 1, (goal_id, mode)
@@ -217,7 +217,7 @@ def test_backends_agree_at_the_largest_action_cost():
     task = ground(domain, derive_problem(model, demo_goal_2341(), report))
     optimal = solve(task, heuristic="hmax", backend="pure")
     assert optimal.cost == 5 * MAX_ACTION_COST
-    for mode, heuristic in [("optimal", "blind"), ("greedy", "hmax")]:
+    for mode, heuristic in [("optimal", "blind"), ("greedy", None)]:
         outcomes = {
             _outcome(solve(task, mode=mode, heuristic=heuristic, backend=b))
             for b in BACKENDS
@@ -253,6 +253,17 @@ def test_solve_rejects_unknown_modes(demo_task):
         solve(demo_task, mode="magic")
     with pytest.raises(ValueError):
         solve(demo_task, heuristic="hland")
+
+
+def test_greedy_takes_no_heuristic(demo_task):
+    for heuristic in ("blind", "hmax"):
+        with pytest.raises(ValueError, match=f"takes no heuristic, got '{heuristic}'"):
+            solve(demo_task, mode="greedy", heuristic=heuristic)
+    # no heuristic is hmax for A*
+    for backend in BACKENDS:
+        assert _outcome(solve(demo_task, backend=backend)) == _outcome(
+            solve(demo_task, heuristic="hmax", backend=backend)
+        )
 
 
 # -- plan validation ---------------------------------------------------------
@@ -451,7 +462,7 @@ def test_successor_index_watches_the_rarest_precondition():
 
 
 @pytest.mark.parametrize(
-    "mode, heuristic", [("optimal", "hmax"), ("optimal", "blind"), ("greedy", "hmax")]
+    "mode, heuristic", [("optimal", "hmax"), ("optimal", "blind"), ("greedy", None)]
 )
 def test_successor_index_matches_a_scan_of_every_action(monkeypatch, mode, heuristic):
     task = _walk_task()
