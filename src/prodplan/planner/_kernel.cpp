@@ -175,17 +175,77 @@ class Masks {
     mutable std::vector<Word> candidates_;  // scratch of each_applicable
 };
 
+// The fluents pending at each cost level of one hmax sweep: a bucket per
+// distinct level, and the levels not yet taken with their buckets, kept
+// in decreasing order. A zero-cost action adds to the level being swept,
+// in its bucket or in a new bucket of that level, which is taken next.
+// Memory follows the distinct levels of a sweep, not its largest cost.
+class Levels {
+  public:
+    Levels() : used_(0), last_level_(-1), last_bucket_(0) {}
+
+    // Empties every bucket and forgets every level.
+    void clear() {
+        for (int b = 0; b < used_; ++b) buckets_[b].clear();
+        used_ = 0;
+        pending_.clear();
+        last_level_ = -1;
+    }
+
+    bool empty() const { return pending_.empty(); }
+
+    // Takes the least level not yet taken; returns it and its bucket.
+    std::pair<int64_t, int> pop() {
+        const std::pair<int64_t, int> least = pending_.back();
+        pending_.pop_back();
+        last_level_ = least.first;
+        last_bucket_ = least.second;
+        return least;
+    }
+
+    // Adds fluent f to the bucket of the level, new if needed.
+    void add(int64_t level, int f) {
+        if (level != last_level_) {
+            last_level_ = level;
+            last_bucket_ = find(level);
+        }
+        buckets_[last_bucket_].push_back(f);
+    }
+
+    // The bucket may grow while the caller reads it: index it afresh.
+    const std::vector<int>& bucket(int b) const { return buckets_[b]; }
+
+  private:
+    // the bucket of a level not yet taken, new if needed
+    int find(int64_t level) {
+        std::vector<std::pair<int64_t, int> >::iterator at = std::lower_bound(
+            pending_.begin(), pending_.end(), level,
+            [](const std::pair<int64_t, int>& p, int64_t l) { return p.first > l; });
+        if (at != pending_.end() && at->first == level) return at->second;
+        if (size_t(used_) == buckets_.size()) buckets_.push_back(std::vector<int>());
+        pending_.insert(at, std::make_pair(level, used_));
+        return used_++;
+    }
+
+    int used_;  // buckets in use in this sweep
+    std::vector<std::vector<int> > buckets_;
+    std::vector<std::pair<int64_t, int> > pending_;
+    int64_t last_level_;  // the level of the bucket add() used last, -1 for none
+    int last_bucket_;
+};
+
 // hmax: the delete-relaxed cost of reaching the goal fluents from a
 // state, ignoring negative conditions, where a fluent costs its most
-// expensive precondition plus the action. Costs are integers, so a queue
-// of buckets indexed by cost finds the same values as the pure core's
-// Dijkstra sweep.
+// expensive precondition plus the action. The sweep takes one cost level
+// at a time, as the pure core's does, and finds the same values; a
+// fluent is pending in the bucket of each level it was reached at, and
+// counts at its least.
 class Hmax {
   public:
     Hmax(int n_fluents, const ActionSet& actions, const int* goal, int n_goal)
         : n_fluents_(n_fluents), actions_(actions),
           cons_start_(n_fluents + 1, 0), pre_count_(actions.n), is_goal_(n_fluents, 0),
-          value_(n_fluents), agg_(actions.n), done_(n_fluents), buckets_(1) {
+          value_(n_fluents), agg_(actions.n) {
         // consumers of each fluent, in action order (CSR)
         for (int a = 0; a < actions.n; ++a)
             for (const int* f = actions.begin(a, PRE_POS); f != actions.end(a, PRE_POS); ++f)
@@ -206,10 +266,8 @@ class Hmax {
 
     double operator()(const Word* state) {
         if (goals_.empty()) return 0.0;
-        for (size_t i = 0; i < dirty_.size(); ++i) buckets_[dirty_[i]].clear();
-        dirty_.clear();
+        levels_.clear();
         std::fill(value_.begin(), value_.end(), UNREACHED);
-        std::fill(done_.begin(), done_.end(), 0);
         std::fill(agg_.begin(), agg_.end(), 0);
         remaining_ = pre_count_;
         for (int w = 0; w * 64 < n_fluents_; ++w)
@@ -218,16 +276,17 @@ class Hmax {
         for (int a = 0; a < actions_.n; ++a)
             if (remaining_[a] == 0) fire(a, actions_.cost[a]);
         size_t goal_left = goals_.size();
-        for (size_t cur = 0; cur < buckets_.size() && goal_left > 0; ++cur) {
-            // fire() may append to this bucket and grow buckets_: index afresh
-            for (size_t k = 0; k < buckets_[cur].size(); ++k) {
-                int f = buckets_[cur][k];
-                if (done_[f] || value_[f] != int64_t(cur)) continue;
-                done_[f] = 1;
+        while (!levels_.empty() && goal_left > 0) {
+            const std::pair<int64_t, int> level = levels_.pop();
+            const int64_t cur = level.first;
+            // fire() may append to this bucket
+            for (size_t k = 0; k < levels_.bucket(level.second).size(); ++k) {
+                const int f = levels_.bucket(level.second)[k];
+                if (value_[f] != cur) continue;  // reached cheaper before
                 if (is_goal_[f] && --goal_left == 0) break;
                 for (int j = cons_start_[f]; j < cons_start_[f + 1]; ++j) {
-                    int a = cons_action_[j];
-                    if (int64_t(cur) > agg_[a]) agg_[a] = int64_t(cur);
+                    const int a = cons_action_[j];
+                    if (cur > agg_[a]) agg_[a] = cur;
                     if (--remaining_[a] == 0) fire(a, agg_[a] + actions_.cost[a]);
                 }
             }
@@ -249,9 +308,7 @@ class Hmax {
     void reach(int f, int64_t cost) {
         if (cost >= value_[f]) return;
         value_[f] = cost;
-        if (size_t(cost) >= buckets_.size()) buckets_.resize(size_t(cost) + 1);
-        if (buckets_[cost].empty()) dirty_.push_back(cost);
-        buckets_[cost].push_back(f);
+        levels_.add(cost, f);
     }
 
     int n_fluents_;
@@ -263,9 +320,7 @@ class Hmax {
     // scratch, reused across calls
     std::vector<int64_t> value_, agg_;
     std::vector<int> remaining_;
-    std::vector<char> done_;
-    std::vector<std::vector<int> > buckets_;
-    std::vector<int64_t> dirty_;  // buckets that hold entries
+    Levels levels_;
 };
 
 // The caller's pattern tables of one side (see the header); the kernel

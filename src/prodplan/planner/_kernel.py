@@ -154,8 +154,7 @@ def _actions(n_fluents, actions):
             start.append(len(flat))
         costs.append(action.cost)
     if costs and not (0 <= min(costs) and max(costs) < 2**63):
-        # costs travel as int64, and the kernel's heuristic files fluents
-        # in buckets indexed by cost
+        # costs travel as int64
         raise ValueError("action costs must be from 0 to 2**63 - 1")
     _check(n_fluents, flat)
     return len(costs), _array(c_int, start), _array(c_int, flat), _array(c_int64, costs)

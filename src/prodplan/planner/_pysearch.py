@@ -6,7 +6,10 @@ and ``cost`` (fluent indices and an int):
 
 * ``astar`` keeps a lazy open list keyed (f, h, seq) with stale-entry
   skipping, on hmax (admissible, delete-relaxed, ignoring negative
-  conditions) or blind.
+  conditions) or blind. ``_make_hmax`` computes hmax one cost level at
+  a time over bit sets, with precondition slot masks and per-byte chunk
+  tables built once per search, to the values of a Dijkstra sweep over
+  single fluents (``tests/reference_hmax.py``).
 * ``greedy`` is deferred greedy best-first on pattern databases: children
   are queued under the parent's h and evaluated once when popped. h is
   looked up in tables that ``patterns.pattern_tables`` builds for each
@@ -61,64 +64,130 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _byte_table(values):
+    """The table that ORs eight ``values`` over the set bits of a byte:
+    entry b is the OR of ``values[i]`` over the set bits i of b."""
+    table = [0]
+    for value in values:
+        table += [entry | value for entry in table]
+    return table
+
+
 def _make_hmax(n_fluents, actions, goal):
-    """hmax: delete-relaxed fluent costs via a Dijkstra sweep per state."""
+    """hmax as a function of a state: the largest cost of a goal fluent.
+
+    A fluent of the state costs 0. An action fires at the largest cost of
+    its positive preconditions plus its own cost, and a fluent costs the
+    cheapest firing that adds it; negative conditions and deletes are
+    ignored. The sweep runs one cost level at a time over int bit sets,
+    on what is built here once per search:
+
+    * **Precondition slots.** With K the most distinct positive
+      preconditions of any action, slot k of action a is bit
+      ``k * n_actions + a``. Each fluent maps to the slots it fills, and
+      the slots an action lacks start filled, so the enabled actions are
+      the AND of the K slot masks.
+    * **Chunk tables** (``_byte_table``). One table per byte of a state
+      ORs the slots of that byte's fluents, so the fluents a level
+      reaches fill their slots with one lookup per non-zero byte. In the
+      same way, per action cost, one table per byte of an action set ORs
+      the add effects of the actions of that cost. That is at most one
+      table of 256 entries per byte of a state and per action.
+
+    A state's sweep keeps ``pending``, {cost: mask of the fluents added
+    at that cost}, and a heap of its distinct costs. The actions without
+    positive preconditions fire first, at their own costs, whatever the
+    state. At each level c it reaches the pending fluents not reached
+    yet, returns c as soon as the goal is reached, fills their slots and
+    fires the actions this enables, at ``c + cost``; a zero-cost action
+    adds to level c again, which is then taken anew.
+
+    This is the generalized Dijkstra sweep over single fluents
+    (``tests/reference_hmax.py``) with the fluents of one cost taken
+    together: the levels come off in increasing cost, so a fluent is
+    reached at its least firing cost and an action fires once, at the
+    level of its last precondition. Every fluent cost, and so every h,
+    is the same.
+    """
     n_actions = len(actions)
-    consumers = [[] for _ in range(n_fluents)]
-    for a, action in enumerate(actions):
-        for f in action.pre_pos:
-            consumers[f].append(a)
-    pre_counts = [len(a.pre_pos) for a in actions]
-    add = [a.add for a in actions]
-    costs = [a.cost for a in actions]
-    goal_set = set(goal)
+    all_actions = (1 << n_actions) - 1
+    pres = [sorted(set(action.pre_pos)) for action in actions]
+    n_slots = max(map(len, pres), default=0)
+    n_bytes, a_bytes = (n_fluents + 7) >> 3, (n_actions + 7) >> 3
+    slot_of = [0] * (8 * n_bytes)
+    filled = 0  # the slots that actions lack
+    for a, pre in enumerate(pres):
+        for k in range(n_slots):
+            bit = 1 << (k * n_actions + a)
+            if k < len(pre):
+                slot_of[pre[k]] |= bit
+            else:
+                filled |= bit
+    slot_tables = [_byte_table(slot_of[i : i + 8]) for i in range(0, 8 * n_bytes, 8)]
+    shifts = [k * n_actions for k in range(1, n_slots)]
+    add = [_mask(action.add) for action in actions]
+    costs = [action.cost for action in actions]
+    # per action cost: (cost, [(j, table of the adds of byte j of an
+    # action set)] over the bytes that hold an action of that cost)
+    by_cost = []
+    for cost in sorted(set(costs)):
+        adds = [add[a] if costs[a] == cost else 0 for a in range(n_actions)]
+        adds += [0] * (8 * a_bytes - n_actions)
+        tables = [
+            (i >> 3, _byte_table(adds[i : i + 8]))
+            for i in range(0, 8 * a_bytes, 8)
+            if any(adds[i : i + 8])
+        ]
+        by_cost.append((cost, tables))
+    free = _mask(a for a, pre in enumerate(pres) if not pre)
+    # the firings of the actions without preconditions, with level 0 present
+    free_pending = {0: 0}
+    for a in _bits(free):
+        free_pending[costs[a]] = free_pending.get(costs[a], 0) | add[a]
+    free_levels = sorted(free_pending)
+    goal_m = _mask(goal)
 
     def h_of(state: int) -> float:
-        if not goal_set:
+        if not goal_m:
             return 0.0
-        value = [_INF] * n_fluents
-        agg = [0] * n_actions
-        remaining = pre_counts[:]
-        heap = []
-        for f in _bits(state):
-            value[f] = 0
-            heappush(heap, (0, f))
-        for a in range(n_actions):
-            if remaining[a] == 0:
-                fire = costs[a]
-                for g in add[a]:
-                    if fire < value[g]:
-                        value[g] = fire
-                        heappush(heap, (fire, g))
-        goal_left = len(goal_set)
-        done = [False] * n_fluents
-        while heap:
-            c, f = heappop(heap)
-            if done[f]:
+        pending = free_pending.copy()
+        pending[0] |= state
+        levels = free_levels[:]
+        reached, slots, fired = 0, filled, free
+        while levels:
+            c = heappop(levels)
+            new = pending.pop(c) & ~reached
+            if not new:
                 continue
-            done[f] = True
-            if f in goal_set:
-                goal_left -= 1
-                if goal_left == 0:
-                    break
-            for a in consumers[f]:
-                remaining[a] -= 1
-                if c > agg[a]:
-                    agg[a] = c
-                if remaining[a] == 0:
-                    fire = agg[a] + costs[a]
-                    for g in add[a]:
-                        if fire < value[g]:
-                            value[g] = fire
-                            heappush(heap, (fire, g))
-        total = 0
-        for f in goal_set:
-            v = value[f]
-            if v == _INF:
-                return _INF
-            if v > total:
-                total = v
-        return total
+            reached |= new
+            if not goal_m & ~reached:
+                return c
+            for table, byte in zip(slot_tables, new.to_bytes(n_bytes, "little")):
+                if byte:
+                    slots |= table[byte]
+            enabled = slots & all_actions
+            for shift in shifts:
+                enabled &= slots >> shift
+            enabled &= ~fired
+            if not enabled:
+                continue
+            fired |= enabled
+            enabled_bytes = enabled.to_bytes(a_bytes, "little")
+            for cost, tables in by_cost:
+                added = 0
+                for j, table in tables:
+                    byte = enabled_bytes[j]
+                    if byte:
+                        added |= table[byte]
+                if not added:
+                    continue
+                level = c + cost
+                if level in pending:
+                    pending[level] |= added
+                else:
+                    pending[level] = added
+                    heappush(levels, level)
+        return _INF
 
     return h_of
 

@@ -5,9 +5,10 @@ Each plant comes from ``model_io.track_layout``: 3-7 PUs, 1-4 shuttles,
 gets random partial placement goals, plus the drill goal where there is
 one. Every task is checked against its exact costs to go (a backward
 Dijkstra over the reachable state graph, ``test_patterns``): A* finds
-the optimal cost, greedy solves exactly the solvable tasks, the greedy
-tables never overestimate, and both cores build the same tables and
-return the same searches.
+the optimal cost, greedy solves exactly the solvable tasks, hmax at the
+initial state equals the reference's and the greedy tables never
+overestimate, and both cores build the same tables and return the same
+searches.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import pytest
 
 from prodplan.model_io import GoalSpec, generate_drill_goal, track_layout
 from prodplan.pddl import parse_domain, parse_problem
-from prodplan.planner import available_backends, backend_module
+from prodplan.planner import _pysearch, available_backends, backend_module
 from prodplan.planner.grounding import ground
 from prodplan.planner.patterns import _variables, pattern_tables
 from prodplan.planner.search import solve, validate_plan
 from prodplan.transform import derive_domain, derive_problem
 
+import reference_hmax
 from test_patterns import INF, _exact_costs_to_go, _forward_h, _mask
 
 SEED = 20
@@ -109,6 +111,15 @@ def test_greedy_solves_exactly_the_solvable_tasks():
         assert result.solved == (exact[_mask(task.init)] < INF), name
         if result.solved:
             assert validate_plan(task, result.plan) == result.cost, name
+
+
+def test_hmax_at_the_initial_state_matches_the_reference_and_never_overestimates():
+    for name, task, exact in _tasks():
+        start = _mask(task.init)
+        args = (len(task.fluents), task.actions, task.goal_pos)
+        h = _pysearch._make_hmax(*args)(start)
+        assert h == reference_hmax._make_hmax(*args)(start), name
+        assert h <= exact[start], name
 
 
 def test_greedy_tables_never_overestimate():

@@ -201,9 +201,8 @@ def test_compiled_backend_rejects_negative_costs():
 
 
 def test_backends_agree_at_the_largest_action_cost():
-    # every move costs MAX_ACTION_COST, and no g value or table entry
-    # reaches the cores' 2**62 sentinels (compiled hmax keeps one bucket
-    # per unit of cost and ends memout here, so it is left out)
+    # every move costs MAX_ACTION_COST, and no g value, h value or table
+    # entry reaches the cores' 2**62 sentinels
     model = build_demo_model()
     segments = tuple(
         dataclasses.replace(seg, duration=Duration(MAX_ACTION_COST))
@@ -217,7 +216,7 @@ def test_backends_agree_at_the_largest_action_cost():
     task = ground(domain, derive_problem(model, demo_goal_2341(), report))
     optimal = solve(task, heuristic="hmax", backend="pure")
     assert optimal.cost == 5 * MAX_ACTION_COST
-    for mode, heuristic in [("optimal", "blind"), ("greedy", None)]:
+    for mode, heuristic in [("optimal", "hmax"), ("optimal", "blind"), ("greedy", None)]:
         outcomes = {
             _outcome(solve(task, mode=mode, heuristic=heuristic, backend=b))
             for b in BACKENDS
