@@ -2,9 +2,10 @@
 
 Two interchangeable backends: a pure-Python one (``_pysearch``) and a
 compiled C++ kernel (``_kernel``), built into a per-user cache when it is
-first imported and loaded through ctypes. Each exports ``astar`` and
-``greedy`` and names itself in ``NAME``. The compiled one is picked when
-it loads; without a compiler or a writable cache the pure core is used.
+first imported and loaded through ctypes. Each exports one best-first
+``search``, A* or greedy, and names itself in ``NAME``. The compiled one
+is picked when it loads; without a compiler or a writable cache the pure
+core is used.
 The kernel is imported only when a backend is first resolved, so a
 command that never searches never builds it.
 """

@@ -6,15 +6,15 @@
 // evaluation, limit checks), so both cores return the same statuses,
 // plans and counters.
 //
-// It exports the same two searches: astar (hmax or blind) and greedy
-// (deferred greedy best-first on pattern databases), whose one loop runs
-// over the forward frontier alone or over a forward and a backward
-// frontier that meet in the middle. It also builds the compiled core's
-// pattern tables: pattern_invariants runs the invariant fixpoint and
-// pattern_tables projects the actions onto each pattern and runs its
-// backward Dijkstra, over word bit sets, to the same results as
-// patterns.py's _invariants and _tables. patterns.py still finds the
-// variables and chooses the patterns between the two calls.
+// It exports the same one best-first search, search: A* or deferred
+// greedy best-first on a blind, hmax or pattern database heuristic, in
+// one loop over the forward frontier alone or, for greedy, over a
+// forward and a backward frontier that meet in the middle. It also
+// builds the compiled core's pattern tables: pattern_invariants runs the
+// invariant fixpoint and pattern_tables projects the actions onto each
+// pattern and runs its backward Dijkstra, over word bit sets, to the same
+// results as patterns.py's _invariants and _tables. patterns.py still
+// finds the variables and chooses the patterns between the two calls.
 //
 // A state is a set of fluents packed into 64-bit words. Every distinct
 // state is stored once in a registry and known by its index there; g
@@ -63,7 +63,7 @@ typedef uint64_t Word;
 
 enum Status { SOLVED = 0, UNSOLVABLE = 1, TIMEOUT = 2, MEMOUT = 3 };
 enum Part { PRE_POS = 0, PRE_NEG = 1, ADD = 2, DEL = 3, PARTS = 4 };
-const int H_BLIND = 0;
+enum Heuristic { H_BLIND = 0, H_MAX = 1 };
 
 const double INF = std::numeric_limits<double>::infinity();
 // also the pattern table entry of a dead end (DEAD_END in _pysearch.py)
@@ -484,78 +484,34 @@ std::vector<int> unwind(const std::vector<int>& parent_action,
     return std::vector<int>(steps.rbegin(), steps.rend());
 }
 
-int run_astar(int n_fluents, const std::vector<Word>& start, const Goal& goal,
-              const int* goal_pos, int n_goal_pos, const ActionSet& actions, int heuristic,
-              const Deadline& deadline, int64_t node_limit, Result& out) {
-    const int words = words_for(n_fluents);
-    const Masks masks(actions, words);
-    const bool informed = heuristic != H_BLIND;
-    Hmax h_of(n_fluents, actions, goal_pos, n_goal_pos);
-
-    const double h0 = informed ? h_of(&start[0]) : 0.0;
-    if (h0 == INF) return UNSOLVABLE;
-
-    StateRegistry states(words);
-    states.insert(&start[0]);
-    std::vector<int64_t> g_best(1, 0);
-    std::vector<int> parent_action(1, -1), parent_state(1, 0);
-    OpenList open;
-    open.push(Entry{h0, h0, 0, 0, 0});
-    std::vector<Word> state(words), succ(words);
-    int64_t seq = 0;
-
-    while (!open.empty()) {
-        if ((out.expanded & CHECK_MASK) == 0 && deadline.passed()) return TIMEOUT;
-        const Entry e = open.top();
-        open.pop();
-        if (e.g != g_best[e.sid]) continue;  // superseded by a cheaper path
-        std::memcpy(&state[0], states[e.sid], words * sizeof(Word));
-        if (goal.holds(&state[0])) {
-            out.plan = unwind(parent_action, parent_state, e.sid);
-            out.cost = e.g;
-            return SOLVED;
-        }
-        ++out.expanded;
-        masks.each_applicable(&state[0], [&](int a) {
-            masks.apply(a, &state[0], &succ[0]);
-            const int64_t ng = e.g + actions.cost[a];
-            const std::pair<int, bool> found = states.insert(&succ[0]);
-            const int nid = found.first;
-            if (found.second) {
-                g_best.push_back(ng);
-                parent_action.push_back(a);
-                parent_state.push_back(e.sid);
-            } else {
-                if (g_best[nid] <= ng) return true;
-                g_best[nid] = ng;
-                parent_action[nid] = a;
-                parent_state[nid] = e.sid;
-            }
-            ++out.generated;
-            ++seq;
-            const double h = informed ? h_of(&succ[0]) : 0.0;
-            if (h != INF) open.push(Entry{double(ng) + h, h, seq, ng, nid});
-            return true;
-        });
-        if (node_limit != 0 && states.size() > node_limit) return MEMOUT;
-    }
-    return UNSOLVABLE;
-}
-
-// One side of the greedy search; g is -1 where the side has not
-// recorded a state.
+// One side of the search: its successor index, its heuristic (hmax, a
+// pattern lookup, or neither for blind), its open list and its records;
+// g is -1 where the side has not recorded a state. The heuristic is the
+// lookup of patterns when they are given, else hmax toward the fluents
+// goal for H_MAX.
 struct Frontier {
     Masks masks;
     const int64_t* cost;
-    PatternLookup h_of;
+    std::unique_ptr<Hmax> hmax;
+    std::unique_ptr<PatternLookup> lookup;
     OpenList open;
     int64_t seq;
     std::vector<int64_t> g;
     std::vector<int> parent_action, parent_state;
 
-    Frontier(int n_fluents, const ActionSet& actions, const Patterns& patterns)
-        : masks(actions, words_for(n_fluents)), cost(actions.cost),
-          h_of(n_fluents, patterns), seq(0) {}
+    Frontier(int n_fluents, const ActionSet& actions, int heuristic, const Patterns* patterns,
+             const int* goal, int n_goal)
+        : masks(actions, words_for(n_fluents)), cost(actions.cost), seq(0) {
+        if (patterns != NULL)
+            lookup.reset(new PatternLookup(n_fluents, *patterns));
+        else if (heuristic == H_MAX)
+            hmax.reset(new Hmax(n_fluents, actions, goal, n_goal));
+    }
+
+    double h(const Word* state) {
+        if (lookup) return (*lookup)(state);
+        return hmax ? (*hmax)(state) : 0.0;
+    }
 
     void track(int64_t g0) {
         g.push_back(g0);
@@ -564,41 +520,36 @@ struct Frontier {
     }
 };
 
-// The backward side of the greedy search: where it starts, the inverted
-// actions it runs over and its pattern tables, whose target is the
-// forward initial state.
-struct Backward {
-    std::vector<Word> start;
-    ActionSet actions;
-    Patterns patterns;
-};
-
-int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal,
-               const ActionSet& f_actions, const Patterns& f_patterns, const Backward* backward,
-               const Deadline& deadline, int64_t node_limit, Result& out) {
-    if (backward != NULL && start_f == backward->start) return SOLVED;
-    const int words = words_for(n_fluents);
-    Frontier fwd(n_fluents, f_actions, f_patterns);
-    const double hf0 = fwd.h_of(&start_f[0]);
+// The best-first loop of both modes. optimal is A*: h is evaluated when a
+// state is generated, a cheaper path reopens a state, and the open list
+// is ordered by (g + h, h, seq). Otherwise it is deferred greedy: a state
+// is queued under its parent's h and evaluated when popped, where a dead
+// end is skipped; a state is recorded once, and the order is (h, h, seq).
+// bwd, greedy only, is a second frontier from start_b; the frontiers
+// expand alternately and stop at the first state both have recorded.
+template <bool optimal>
+int run(const std::vector<Word>& start_f, const Goal& goal, Frontier& fwd,
+        const std::vector<Word>& start_b, Frontier* bwd, const Deadline& deadline,
+        int64_t node_limit, Result& out) {
+    if (bwd != NULL && start_f == start_b) return SOLVED;
+    const int words = int(start_f.size());
+    const double hf0 = fwd.h(&start_f[0]);
     if (hf0 == INF) return UNSOLVABLE;
 
     StateRegistry states(words);
     states.insert(&start_f[0]);
     fwd.track(0);
     fwd.open.push(Entry{hf0, hf0, 0, 0, 0});
-    std::unique_ptr<Frontier> bwd;
-    if (backward != NULL) {
-        bwd.reset(new Frontier(n_fluents, backward->actions, backward->patterns));
-        const double hb0 = bwd->h_of(&backward->start[0]);
-        states.insert(&backward->start[0]);
+    if (bwd != NULL) {
+        const double hb0 = bwd->h(&start_b[0]);
+        states.insert(&start_b[0]);
         fwd.track(-1);
         bwd->track(-1);
         bwd->track(0);
         if (hb0 != INF) bwd->open.push(Entry{hb0, hb0, 0, 0, 1});
     }
-    Frontier* const sides[2] = {&fwd, bwd.get()};
+    Frontier* const sides[2] = {&fwd, bwd};
     const int n_sides = bwd ? 2 : 1;
-    int64_t recorded = n_sides;  // states recorded by all sides together
     std::vector<Word> state(words), succ(words);
     int meet = -1;
 
@@ -610,40 +561,48 @@ int run_greedy(int n_fluents, const std::vector<Word>& start_f, const Goal& goal
             if (own.open.empty()) continue;
             const Entry e = own.open.top();
             own.open.pop();
-            if (e.g != own.g[e.sid]) continue;
+            if (e.g != own.g[e.sid]) continue;  // superseded by a cheaper path
             std::memcpy(&state[0], states[e.sid], words * sizeof(Word));
             if (side == 0 && goal.holds(&state[0])) {
                 out.plan = unwind(fwd.parent_action, fwd.parent_state, e.sid);
                 out.cost = e.g;
                 return SOLVED;
             }
-            const double h_here = own.h_of(&state[0]);
-            if (h_here == INF) continue;  // proven dead end, never expand
+            double h_here = 0.0;
+            if (!optimal) {
+                h_here = own.h(&state[0]);
+                if (h_here == INF) continue;  // proven dead end, never expand
+            }
             ++out.expanded;
             own.masks.each_applicable(&state[0], [&](int a) {
                 own.masks.apply(a, &state[0], &succ[0]);
+                const int64_t ng = e.g + own.cost[a];
                 const std::pair<int, bool> found = states.insert(&succ[0]);
                 const int nid = found.first;
                 if (found.second) {
                     for (int s = 0; s < n_sides; ++s) sides[s]->track(-1);
-                } else if (own.g[nid] >= 0) {
+                } else if (own.g[nid] >= 0 && (!optimal || own.g[nid] <= ng)) {
                     return true;
                 }
-                const int64_t ng = e.g + own.cost[a];
                 own.g[nid] = ng;
                 own.parent_action[nid] = a;
                 own.parent_state[nid] = e.sid;
-                ++recorded;
                 ++out.generated;
                 if (other != NULL && other->g[nid] >= 0) {
                     meet = nid;
                     return false;
                 }
-                // deferred evaluation: queue under the parent's h
-                own.open.push(Entry{h_here, h_here, ++own.seq, ng, nid});
+                if (!optimal) {
+                    // deferred evaluation: queue under the parent's h
+                    own.open.push(Entry{h_here, h_here, ++own.seq, ng, nid});
+                } else {
+                    const double h = own.h(&succ[0]);
+                    if (h != INF) own.open.push(Entry{double(ng) + h, h, ++own.seq, ng, nid});
+                }
                 return true;
             });
-            if (meet < 0 && node_limit != 0 && recorded > node_limit) return MEMOUT;
+            // every state in the registry is recorded by one side
+            if (meet < 0 && node_limit != 0 && states.size() > node_limit) return MEMOUT;
         }
     }
     if (meet < 0) return UNSOLVABLE;
@@ -1034,46 +993,21 @@ extern "C" {
 
 void release(int* plan) { std::free(plan); }
 
-// A* with hmax or, for heuristic 0, blind. Returns the status; counts
-// receives (expanded, generated, cost) and *plan a plan of *plan_len
-// action indices, to be freed with release(). Running out of memory
-// ends the search with MEMOUT. Action costs must not be negative.
-int astar(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
-          const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
-          const int* fluents, const int64_t* cost, int heuristic, double time_limit,
-          int64_t node_limit, int64_t* counts, int** plan, int64_t* plan_len) {
-    const Deadline deadline(time_limit);
-    Result result;
-    int status = MEMOUT;
-    *plan = NULL;
-    try {
-        const int words = words_for(n_fluents);
-        const ActionSet actions = {n_actions, start, fluents, cost};
-        const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
-        status = run_astar(n_fluents, pack(words, init, n_init), goal, goal_pos, n_goal_pos,
-                           actions, heuristic, deadline, node_limit, result);
-        *plan = hand_over(result.plan, plan_len);
-    } catch (const std::exception&) {  // only allocations throw
-        status = MEMOUT;
-        result.cost = 0;
-        *plan_len = 0;
-    }
-    report(result, counts);
-    return status;
-}
-
-// Deferred greedy best-first on pattern tables, forward from init toward
-// the goal. When b_start is not NULL a second frontier runs backward from
-// init_b (a complete goal state) over the inverted actions toward init,
-// on its own tables, and the two stop at the first state both have
-// recorded. Returns the status; *plan receives the forward half and
-// *plan_b the backward half, which traces init_b toward the meet state
-// in application order. Both are freed with release().
-int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
+// Best-first search from init toward the goal: A* when optimal is not 0,
+// else deferred greedy (see run). h is the lookup of the pattern tables
+// when table is not NULL, else hmax for heuristic 1 and blind for 0. When
+// b_start is not NULL, for the greedy search only, a second frontier runs
+// backward from init_b (a complete goal state) over the inverted actions
+// toward init, on its own tables. Returns the status; counts receives
+// (expanded, generated, cost), *plan the forward plan and *plan_b the
+// backward half, which traces init_b toward the meet state in
+// application order; both are freed with release(). Running out of
+// memory ends the search with MEMOUT. Action costs must not be negative.
+int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
            const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
-           const int* fluents, const int64_t* cost, int n_vars, const int* var_of,
+           const int* fluents, const int64_t* cost, int heuristic, int n_vars, const int* var_of,
            const int* value_of, int n_patterns, const int* layout, const int64_t* table,
-           const int* init_b, int n_init_b, int nb_actions, const int* b_start,
+           int optimal, const int* init_b, int n_init_b, int nb_actions, const int* b_start,
            const int* b_fluents, const int64_t* b_cost, int nb_vars, const int* b_var_of,
            const int* b_value_of, int nb_patterns, const int* b_layout,
            const int64_t* b_table, double time_limit, int64_t node_limit, int64_t* counts,
@@ -1085,14 +1019,23 @@ int greedy(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
     try {
         const int words = words_for(n_fluents);
         const ActionSet actions = {n_actions, start, fluents, cost};
-        const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
         const Patterns patterns = {n_vars, var_of, value_of, n_patterns, layout, table};
-        const Backward backward = {
-            pack(words, init_b, n_init_b),
-            {nb_actions, b_start, b_fluents, b_cost},
-            {nb_vars, b_var_of, b_value_of, nb_patterns, b_layout, b_table}};
-        status = run_greedy(n_fluents, pack(words, init, n_init), goal, actions, patterns,
-                            b_start != NULL ? &backward : NULL, deadline, node_limit, result);
+        Frontier fwd(n_fluents, actions, heuristic, table != NULL ? &patterns : NULL, goal_pos,
+                     n_goal_pos);
+        std::unique_ptr<Frontier> bwd;
+        if (b_start != NULL) {
+            const ActionSet b_actions = {nb_actions, b_start, b_fluents, b_cost};
+            const Patterns b_patterns = {nb_vars, b_var_of, b_value_of, nb_patterns, b_layout,
+                                         b_table};
+            bwd.reset(new Frontier(n_fluents, b_actions, H_BLIND, &b_patterns, NULL, 0));
+        }
+        const Goal goal(words, goal_pos, n_goal_pos, goal_neg, n_goal_neg);
+        const std::vector<Word> start_f = pack(words, init, n_init);
+        const std::vector<Word> start_b = pack(words, init_b, n_init_b);
+        status = optimal ? run<true>(start_f, goal, fwd, start_b, bwd.get(), deadline,
+                                     node_limit, result)
+                         : run<false>(start_f, goal, fwd, start_b, bwd.get(), deadline,
+                                      node_limit, result);
         *plan = hand_over(result.plan, plan_len);
         *plan_b = hand_over(result.plan_b, plan_b_len);
     } catch (const std::exception&) {  // only allocations throw

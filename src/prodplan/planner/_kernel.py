@@ -9,12 +9,12 @@ is None when there is no compiler or no writable cache, and the planner
 then uses the pure core; ``FAILURE`` then says why the build or load
 failed.
 
-``astar`` and ``greedy`` take the arguments of the ``_pysearch``
-functions of the same names and return the same tuples. ``invariants``
-and ``tables`` are the two stages of ``patterns.pattern_tables`` that the
-kernel runs for the compiled core; they take the arguments of
-``patterns._invariants`` and ``patterns._tables`` and return the same
-values. Every index and cost passed to the kernel is checked here first.
+``search`` takes the arguments of ``_pysearch.search`` and returns the
+same tuple. ``invariants`` and ``tables`` are the two stages of
+``patterns.pattern_tables`` that the kernel runs for the compiled core;
+they take the arguments of ``patterns._invariants`` and
+``patterns._tables`` and return the same values. Every index and cost
+passed to the kernel is checked here first.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import prod
 from pathlib import Path
 
-from ._pysearch import H_MAX
+from ._pysearch import H_BLIND
 
 NAME = "compiled"
 
@@ -99,15 +99,11 @@ def _build() -> Path:
 
 def _open():
     lib = ctypes.CDLL(str(_build()))
-    lib.astar.argtypes = [
-        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, c_int, *_LIMITS, _COSTS, *_PLAN,
+    lib.search.argtypes = [
+        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, c_int, *_PATTERNS, c_int, *_FLUENTS,
+        *_ACTIONS, *_PATTERNS, *_LIMITS, _COSTS, *_PLAN, *_PLAN,
     ]
-    lib.astar.restype = c_int
-    lib.greedy.argtypes = [
-        c_int, *_FLUENTS, *_FLUENTS, *_FLUENTS, *_ACTIONS, *_PATTERNS, *_FLUENTS, *_ACTIONS,
-        *_PATTERNS, *_LIMITS, _COSTS, *_PLAN, *_PLAN,
-    ]
-    lib.greedy.restype = c_int
+    lib.search.restype = c_int
     lib.release.argtypes = [_INTS]
     lib.release.restype = None
     lib.pattern_invariants.argtypes = [c_int, *_VARIABLES, *_FLUENTS, *_ACTIONS, _WORDS, _WORDS]
@@ -289,51 +285,27 @@ def _take(plan, length) -> list[int]:
         LIB.release(plan)
 
 
-def astar(
+def search(
     n_fluents,
     init,
     goal_pos,
     goal_neg,
     actions,
-    heuristic=H_MAX,
-    time_limit=300.0,
-    node_limit=2_000_000,
-):
-    """Returns (status, action_indices, cost, expanded, generated)."""
-    counts = (c_int64 * 3)()
-    plan, plan_len = _INTS(), c_int64()
-    status = LIB.astar(
-        n_fluents,
-        *_fluents(n_fluents, init),
-        *_fluents(n_fluents, goal_pos),
-        *_fluents(n_fluents, goal_neg),
-        *_actions(n_fluents, actions),
-        heuristic,
-        time_limit or 0.0,
-        node_limit or 0,
-        counts,
-        byref(plan),
-        byref(plan_len),
-    )
-    expanded, generated, cost = counts
-    return status, _take(plan, plan_len), cost, expanded, generated
-
-
-def greedy(
-    n_fluents,
-    init,
-    goal_pos,
-    goal_neg,
-    actions,
-    tables,
+    heuristic,
+    optimal,
     backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
-    """Returns (status, forward_action_indices, backward_action_indices,
-    cost, expanded, generated), as ``_pysearch.greedy``."""
+    """Returns the tuple of ``_pysearch.search``, which takes the same
+    arguments."""
+    # NULL tables tell the kernel that the heuristic is an int, and a NULL
+    # action set that there is no backward side
+    if isinstance(heuristic, int):
+        h = (heuristic, 0, None, None, 0, None, None)
+    else:
+        h = (H_BLIND, *_patterns(n_fluents, heuristic))
     if backward is None:
-        # a NULL action set tells the kernel there is no backward side
         b_side = (None, 0, 0, None, None, None, 0, None, None, 0, None, None)
     else:
         init_b, b_actions, b_tables = backward
@@ -345,13 +317,14 @@ def greedy(
     counts = (c_int64 * 3)()
     fwd, fwd_len = _INTS(), c_int64()
     bwd, bwd_len = _INTS(), c_int64()
-    status = LIB.greedy(
+    status = LIB.search(
         n_fluents,
         *_fluents(n_fluents, init),
         *_fluents(n_fluents, goal_pos),
         *_fluents(n_fluents, goal_neg),
         *_actions(n_fluents, actions),
-        *_patterns(n_fluents, tables),
+        *h,
+        1 if optimal else 0,
         *b_side,
         time_limit or 0.0,
         node_limit or 0,

@@ -1,27 +1,32 @@
 """Pure-Python search backend.
 
-States are int bitmasks over the fluent universe. Two searches, both
-over action records with ``pre_pos``, ``pre_neg``, ``add``, ``delete``
-and ``cost`` (fluent indices and an int):
+States are int bitmasks over the fluent universe. One best-first loop,
+``search``, runs over action records with ``pre_pos``, ``pre_neg``,
+``add``, ``delete`` and ``cost`` (fluent indices and an int), in one of
+two modes that differ in three switches only:
 
-* ``astar`` keeps a lazy open list keyed (f, h, seq) with stale-entry
-  skipping, on hmax (admissible, delete-relaxed, ignoring negative
-  conditions) or blind. ``_make_hmax`` computes hmax one cost level at
-  a time over bit sets, with precondition slot masks and per-byte chunk
-  tables built once per search, to the values of a Dijkstra sweep over
-  single fluents (``tests/reference_hmax.py``).
-* ``greedy`` is deferred greedy best-first on pattern databases: children
-  are queued under the parent's h and evaluated once when popped. h is
-  looked up in tables that ``patterns.pattern_tables`` builds for each
-  side, in Python for this core and in the kernel for the compiled one;
-  a table entry of ``DEAD_END`` prunes the state. Given a backward
-  side it runs a second frontier from a complete goal state over
-  inverted actions, alternating expansions and stopping at the first
-  state generated by both sides; without one it is the plain
-  single-frontier search.
+* optimal, A*: h is evaluated when a state is generated, a cheaper path
+  reopens a state, and the lazy open list is keyed (f, h, seq) with
+  stale-entry skipping;
+* greedy, deferred: children are queued under the parent's h and
+  evaluated once when popped, where a dead end is skipped; a state is
+  recorded once, and the key is (h, h, seq).
 
-Neither search tests every action at every expansion. ``_watch`` builds
-a watched-precondition index once per action set and search (the
+The heuristic is blind, hmax (admissible, delete-relaxed, ignoring
+negative conditions) or pattern databases. ``_make_hmax`` computes hmax
+one cost level at a time over bit sets, with precondition slot masks and
+per-byte chunk tables built once per search, to the values of a Dijkstra
+sweep over single fluents (``tests/reference_hmax.py``). ``_lookup``
+reads h from tables that ``patterns.pattern_tables`` builds for each
+side, in Python for this core and in the kernel for the compiled one; a
+table entry of ``DEAD_END`` prunes the state. Given a backward side, the
+greedy search runs a second frontier from a complete goal state over
+inverted actions, alternating expansions and stopping at the first state
+generated by both sides; without one it is the plain single-frontier
+search.
+
+The search does not test every action at every expansion. ``_watch``
+builds a watched-precondition index once per action set and search (the
 successor generator of Fast Downward, Helmert, JAIR 26, 2006, cut down
 to STRIPS): each action is watched under its positive precondition with
 the fewest consumers, the lower fluent on a tie, and an action without
@@ -30,8 +35,8 @@ action masks watched under the state's true fluents and tests each
 candidate fully, in ascending action index, so the scan order, the
 successor order and every count equal those of a scan over all actions.
 
-The compiled backend (``_kernel``) mirrors this module; both expose the
-same functions with the same result conventions.
+The compiled backend (``_kernel``) mirrors this module; both expose
+``search`` with the same result conventions.
 """
 
 from __future__ import annotations
@@ -276,104 +281,54 @@ def _unwind(parents, state):
     return steps
 
 
-def astar(
+def _heuristic(heuristic, n_fluents, actions, goal):
+    """h as a function of a state: 0 for ``H_BLIND``, hmax toward the
+    fluents ``goal`` for ``H_MAX``, or the lookup of ``PatternTables``."""
+    if heuristic == H_BLIND:
+        return lambda state: 0
+    if heuristic == H_MAX:
+        return _make_hmax(n_fluents, actions, goal)
+    return _lookup(heuristic)
+
+
+def search(
     n_fluents,
     init,
     goal_pos,
     goal_neg,
     actions,
-    heuristic=H_MAX,
-    time_limit=300.0,
-    node_limit=2_000_000,
-):
-    """A* with hmax or, for H_BLIND, no heuristic.
-
-    Returns (status, action_indices, cost, expanded, generated).
-    """
-    deadline = time.monotonic() + time_limit if time_limit else None
-    pre_pos_m, pre_neg_m, add_m, del_m, costs, index = _masks(actions)
-    goal_pos_m = _mask(goal_pos)
-    goal_neg_m = _mask(goal_neg)
-    start = _mask(init)
-    h_of = None if heuristic == H_BLIND else _make_hmax(n_fluents, actions, goal_pos)
-
-    h0 = h_of(start) if h_of else 0
-    if h0 == _INF:
-        return UNSOLVABLE, [], 0, 0, 0
-
-    seq = 0
-    open_heap = [(h0, h0, seq, 0, start)]
-    g_best = {start: 0}
-    parents = {start: (-1, 0)}
-    expanded = generated = 0
-
-    while open_heap:
-        if deadline is not None and (expanded & 0x7F) == 0:
-            if time.monotonic() > deadline:
-                return TIMEOUT, [], 0, expanded, generated
-        _, _, _, g, state = heappop(open_heap)
-        if g != g_best.get(state):
-            continue  # superseded by a cheaper path
-        if (state & goal_pos_m) == goal_pos_m and not (state & goal_neg_m):
-            return SOLVED, _unwind(parents, state), g, expanded, generated
-        expanded += 1
-        candidates = _candidates(state, index)
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            a = low.bit_length() - 1
-            if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
-                continue
-            succ = (state & del_m[a]) | add_m[a]
-            ng = g + costs[a]
-            old = g_best.get(succ)
-            if old is not None and old <= ng:
-                continue
-            g_best[succ] = ng
-            parents[succ] = (a, state)
-            generated += 1
-            seq += 1
-            h = h_of(succ) if h_of else 0
-            if h == _INF:
-                continue
-            heappush(open_heap, (ng + h, h, seq, ng, succ))
-        if node_limit and len(g_best) > node_limit:
-            return MEMOUT, [], 0, expanded, generated
-    return UNSOLVABLE, [], 0, expanded, generated
-
-
-def greedy(
-    n_fluents,
-    init,
-    goal_pos,
-    goal_neg,
-    actions,
-    tables,
+    heuristic,
+    optimal,
     backward=None,
     time_limit=300.0,
     node_limit=2_000_000,
 ):
-    """Deferred greedy best-first on pattern tables, from one end or from
-    both.
+    """Best-first search from ``init`` toward the goal, on ``heuristic``
+    (``H_BLIND``, ``H_MAX`` or a ``patterns.PatternTables``).
 
-    ``tables`` is the forward side's ``patterns.PatternTables``, built for
-    the goal. ``backward`` is None or (init_b, backward_actions,
-    backward_tables): a second frontier that starts from ``init_b`` (a
-    complete state satisfying the goal) and runs over the inverted
-    actions, on tables built for the initial state as its target. The
-    frontiers expand alternately, forward first, and
-    stop at the first state recorded by both. Successors are queued under
-    their parent's h. Returns (status, forward_action_indices,
-    backward_action_indices, cost, expanded, generated); the backward
-    indices trace init_b toward the meet state in application order.
+    ``optimal`` chooses A*: h is evaluated when a state is generated, a
+    cheaper path reopens a state, and the open list is keyed (g + h, h,
+    seq). Otherwise the search is deferred greedy: a state is queued
+    under its parent's h, evaluated when popped, where a dead end is
+    skipped, recorded once, and keyed (h, h, seq).
+
+    ``backward`` is None or, for the greedy search only, (init_b,
+    backward_actions, backward_tables): a second frontier that starts
+    from ``init_b`` (a complete state satisfying the goal) and runs over
+    the inverted actions, on tables built for the initial state as its
+    target. The frontiers expand alternately, forward first, and stop at
+    the first state recorded by both.
+
+    Returns (status, forward_action_indices, backward_action_indices,
+    cost, expanded, generated); the backward indices trace init_b toward
+    the meet state in application order.
     """
     deadline = time.monotonic() + time_limit if time_limit else None
     goal_pos_m = _mask(goal_pos)
     goal_neg_m = _mask(goal_neg)
     start_f = _mask(init)
-    g_f = {start_f: 0}
-    parents_f = {start_f: (-1, 0)}
-    g_b, parents_b = {}, {}
+    g_f, g_b = {start_f: 0}, {}
+    parents_f, parents_b = {start_f: (-1, 0)}, {}
     if backward is not None:
         init_b, b_actions, b_tables = backward
         start_b = _mask(init_b)
@@ -382,18 +337,18 @@ def greedy(
         g_b[start_b] = 0
         parents_b[start_b] = (-1, 0)
 
-    h_f = _lookup(tables)
+    h_f = _heuristic(heuristic, n_fluents, actions, goal_pos)
     hf0 = h_f(start_f)
     if hf0 == _INF:
         return UNSOLVABLE, [], [], 0, 0, 0
-    heap_f = [(hf0, 0, 0, start_f)]
+    heap_f = [(hf0, hf0, 0, 0, start_f)]
     # (open list, own g, other side's g, parents, masks, h, tie-break
     # sequence, is forward)
     sides = [(heap_f, g_f, g_b, parents_f, _masks(actions), h_f, count(1), True)]
     if backward is not None:
         h_b = _lookup(b_tables)
         hb0 = h_b(start_b)
-        heap_b = [(hb0, 0, 0, start_b)] if hb0 != _INF else []
+        heap_b = [(hb0, hb0, 0, 0, start_b)] if hb0 != _INF else []
         sides.append((heap_b, g_b, g_f, parents_b, _masks(b_actions), h_b, count(1), False))
     expanded = generated = 0
 
@@ -404,14 +359,15 @@ def greedy(
         for heap, g_own, g_other, parents, masks, h_of, seq, is_fwd in sides:
             if not heap:
                 continue
-            _, _, g, state = heappop(heap)
+            _, h_here, _, g, state = heappop(heap)
             if g != g_own.get(state):
-                continue
+                continue  # superseded by a cheaper path
             if is_fwd and (state & goal_pos_m) == goal_pos_m and not (state & goal_neg_m):
                 return SOLVED, _unwind(parents_f, state), [], g, expanded, generated
-            h_here = h_of(state)
-            if h_here == _INF:
-                continue  # proven dead end, never expand
+            if not optimal:
+                h_here = h_of(state)
+                if h_here == _INF:
+                    continue  # proven dead end, never expand
             expanded += 1
             pre_pos_m, pre_neg_m, add_m, del_m, costs, index = masks
             candidates = _candidates(state, index)
@@ -422,9 +378,10 @@ def greedy(
                 if (state & pre_pos_m[a]) != pre_pos_m[a] or (state & pre_neg_m[a]):
                     continue
                 succ = (state & del_m[a]) | add_m[a]
-                if succ in g_own:
-                    continue
                 ng = g + costs[a]
+                old = g_own.get(succ)
+                if old is not None and (old <= ng or not optimal):
+                    continue
                 g_own[succ] = ng
                 parents[succ] = (a, state)
                 generated += 1
@@ -433,8 +390,12 @@ def greedy(
                     plan_f = _unwind(parents_f, succ)
                     plan_b = _unwind(parents_b, succ)
                     return SOLVED, plan_f, plan_b, cost, expanded, generated
-                # deferred evaluation: queue under the parent's h
-                heappush(heap, (h_here, next(seq), ng, succ))
+                if optimal:
+                    h = h_of(succ)
+                    if h != _INF:
+                        heappush(heap, (ng + h, h, next(seq), ng, succ))
+                else:
+                    heappush(heap, (h_here, h_here, next(seq), ng, succ))
             if node_limit and len(g_f) + len(g_b) > node_limit:
                 return MEMOUT, [], [], 0, expanded, generated
     return UNSOLVABLE, [], [], 0, expanded, generated

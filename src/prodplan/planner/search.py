@@ -95,14 +95,14 @@ def solve(
         from .patterns import pattern_tables
 
         building = time.monotonic()
-        tables = pattern_tables(task.fluents, *args[1:], core=module)
+        h = pattern_tables(task.fluents, *args[1:], core=module)
         heuristic_ms = (time.monotonic() - building) * 1000.0
-        limits = {"time_limit": _remaining(time_limit, started), "node_limit": node_limit}
-        status, steps, _, cost, *counts = module.greedy(*args, tables, **limits)
     else:
-        limits = {"time_limit": time_limit or 0.0, "node_limit": node_limit}
         h = H_BLIND if heuristic == "blind" else H_MAX
-        status, steps, cost, *counts = module.astar(*args, heuristic=h, **limits)
+    status, steps, _, cost, *counts = module.search(
+        *args, h, mode == "optimal",
+        time_limit=_remaining(time_limit, started), node_limit=node_limit,
+    )
     return _result(task, module, started, status, steps, cost, *counts, heuristic_ms)
 
 
@@ -139,8 +139,9 @@ def plan(domain, problem, workdir=None, *, solver_cmd=None, **search) -> SearchR
 
 
 def _remaining(time_limit, started) -> float:
-    """What is left of ``time_limit`` after the heuristic was built; 0
-    stays no limit, and a spent budget stays a limit."""
+    """What is left of ``time_limit`` when the search loop starts, after
+    any heuristic tables were built; 0 stays no limit, and a spent budget
+    stays a limit."""
     if not time_limit:
         return 0.0
     return max(time_limit - (time.monotonic() - started), 1e-9)
@@ -223,13 +224,14 @@ def solve_bidirectional(
     )
     b_tables = pattern_tables(task.fluents, init_b, init, (), r_actions, core=module)
     heuristic_ms = (time.monotonic() - building) * 1000.0
-    status, fwd_idx, bwd_idx, cost, expanded, generated = module.greedy(
+    status, fwd_idx, bwd_idx, cost, expanded, generated = module.search(
         len(task.fluents),
         init,
         task.goal_pos,
         task.goal_neg,
         task.actions,
         tables,
+        False,
         backward=(init_b, r_actions, b_tables),
         time_limit=_remaining(time_limit, started),
         node_limit=node_limit,

@@ -150,8 +150,9 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Runs the table builds and both searches on the kernel the process
-# loaded, then again on one built with the undefined-behaviour sanitizer
+# Runs the table builds and the searches of each mode and heuristic
+# (blind, hmax and tables, one and two frontiers) on the kernel the
+# process loaded, then again on one built with the undefined-behaviour sanitizer
 # into the cache directory argv[1], and prints whether they agree. Any
 # undefined behaviour aborts the process.
 _SANITIZED = """
@@ -171,6 +172,7 @@ sides = [
 
 def outcomes():
     results = [solve(t, backend="compiled") for t in (ring, drilling)]
+    results.append(solve(_ring_task(5), heuristic="blind", backend="compiled"))
     results += [solve(t, mode="greedy", backend="compiled") for t in (ring, drilling)]
     results.append(solve_bidirectional(ring, reverse, backend="compiled"))
     return [pattern_tables(*side, core=_kernel) for side in sides] + [

@@ -173,7 +173,7 @@ def test_compiled_backend_rejects_tables_that_index_past_their_end():
     )
     for broken in (short, shifted):
         with pytest.raises(ValueError):
-            _kernel.greedy(len(task.fluents), init, task.goal_pos, (), task.actions, broken)
+            _kernel.search(len(task.fluents), init, task.goal_pos, (), task.actions, broken, False)
 
 
 def _stage_inputs(task):
