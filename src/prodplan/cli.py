@@ -298,9 +298,16 @@ def cmd_gen_layout(args) -> int:
     return 0
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProdplanError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
-    domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
-    problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
+    domain = parse_domain(_read_text(args.domain))
+    problem = parse_problem(_read_text(args.problem))
     result = plan(domain, problem, **_search(args))
     print(_report_line(problem.name, result))
     if result.solved and args.plan_out:
@@ -400,6 +407,11 @@ def main(argv=None) -> int:
         # on SIGPIPE, whose exit status this keeps).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # a file to write: a missing directory, a file where the output
+        # directory goes, no permission; the message names the path
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return status
 

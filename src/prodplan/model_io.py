@@ -444,7 +444,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 def _read_json(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

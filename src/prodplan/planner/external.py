@@ -83,9 +83,8 @@ def solve_external(
     generated = _count("generated", proc.stdout)
 
     if plan_path.exists():
-        text = plan_path.read_text(encoding="utf-8")
         try:
-            plan = parse_plan(text)
+            plan = parse_plan(plan_path.read_text(encoding="utf-8"))
         except Exception as exc:
             raise PlanParseError(f"solver wrote an unreadable plan: {exc}") from exc
         return SearchResult(

@@ -76,6 +76,30 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["validate", "--model", str(missing)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["solve", "--domain", "{tmp}/none.pddl", "--problem", "{latin1}"], "{tmp}/none.pddl"),
+        (["solve", "--domain", "{latin1}", "--problem", "{latin1}"], "{latin1}"),
+        (["validate", "--model", "{latin1}"], "{latin1}"),
+        (["gen-layout", "--pus", "5", "--out", "{tmp}/nodir/ring.json"], "{tmp}/nodir/ring.json"),
+        (["bench", "--sizes", "5", "--csv", "{tmp}/nodir/bench.csv"], "{tmp}/nodir/bench.csv"),
+        (["pipeline", "--model", "{model}", "--goal", "{goal}", "--out", "{model}"], "{model}"),
+    ],
+    ids=[
+        "missing", "solve-not-utf8", "validate-not-utf8", "no-dir", "csv-no-dir", "out-is-a-file"
+    ],
+)
+def test_file_errors_end_in_one_error_line(demo_files, tmp_path, capsys, argv, named):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"(define (domain caf\xe9))")
+    model, goal = demo_files
+    paths = {"tmp": tmp_path, "latin1": latin1, "model": model, "goal": goal}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named.format(**paths) in line
+
+
 def test_gen_layout_outputs_load_cleanly(tmp_path):
     out = tmp_path / "ring.json"
     goal_out = tmp_path / "ring-goal.json"

@@ -155,6 +155,18 @@ def test_garbage_plan_file(tmp_path, demo_texts):
         )
 
 
+def test_plan_file_that_is_not_utf8(tmp_path, demo_texts):
+    domain_text, problem_text = demo_texts
+    script = _script(tmp_path, "latin1.sh", "printf '(caf\\351)\\n' > \"$1\"\n")
+    with pytest.raises(PlanParseError):
+        solve_external(
+            domain_text,
+            problem_text,
+            f"{script} {{plan}} {{domain}} {{problem}}",
+            tmp_path / "work",
+        )
+
+
 def test_relative_workdir_paths_survive_solver_cwd(
     tmp_path, monkeypatch, demo_texts, demo_task
 ):
