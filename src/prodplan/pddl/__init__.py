@@ -1,8 +1,9 @@
-"""PDDL 3.1 subset: AST dataclasses, text writer and text parser.
+"""PDDL 3.1 subset: AST records, text writer and text parser.
 
 The subset covers STRIPS with typing, negative/existential/universal
 preconditions, conditional effects and additive action costs. Writer
-output re-parses to an equal AST.
+output re-parses to an equal AST. The nodes are ``NamedTuple``s, and
+``PddlDomain`` a plain frozen record; all compare by type and fields.
 """
 
 from .ast import (

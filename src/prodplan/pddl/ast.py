@@ -1,13 +1,17 @@
 """AST node types for the supported PDDL subset.
 
 Names keep the case they were written with; PDDL keywords are handled
-case-insensitively by the parser. All nodes are frozen, so structural
-equality works for round-trip checks.
+case-insensitively by the parser. Every node is a ``typing.NamedTuple``
+except ``PddlDomain``, which ``planner.grounding`` holds weakly and so
+is a plain frozen record (``_Record``). Nodes compare and hash by type
+as well as by fields, so ``Exists(v, c) != Forall(v, c)``, a node never
+equals the plain tuple of its fields, and a re-parsed tree equals the
+one it was written from only if every node kept its type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_TYPE = "object"
 
@@ -22,58 +26,99 @@ SUPPORTED_REQUIREMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class TypedName:
+class _Record:
+    """A frozen record whose fields are its subclass's annotated names, in
+    order, with the assigned ones as defaults. Unlike a NamedTuple it can
+    be weakly referenced and hold a ``cached_property``. It compares and
+    hashes by type and fields, pickles by its fields, and ``_replace``
+    returns a copy with some fields changed."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args))
+        values = {**self._field_defaults, **given, **kwargs}
+        if len(args) > len(self._fields) or given.keys() & kwargs or kwargs.keys() - self._fields:
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        missing = [name for name in self._fields if name not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__} is missing {', '.join(missing)}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class TypedName(NamedTuple):
     """A name (or ?variable) with its type."""
 
     name: str
     type: str = DEFAULT_TYPE
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     name: str
     parameters: tuple[TypedName, ...] = ()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Predicate application; arguments are constants or ?variables."""
 
     predicate: str
     args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     item: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     items: tuple["Expr", ...] = ()
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(NamedTuple):
     variables: tuple[TypedName, ...]
     condition: "Expr"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(NamedTuple):
     variables: tuple[TypedName, ...]
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class When:
+class When(NamedTuple):
     condition: "Expr"
     effect: "Expr"
 
 
-@dataclass(frozen=True)
-class Increase:
+class Increase(NamedTuple):
     """(increase (total-cost) amount); the only numeric effect supported."""
 
     function: str
@@ -83,16 +128,17 @@ class Increase:
 Expr = Atom | Not | And | Exists | Forall | When | Increase
 
 
-@dataclass(frozen=True)
-class PddlAction:
+class PddlAction(NamedTuple):
     name: str
     parameters: tuple[TypedName, ...] = ()
     precondition: Expr | None = None
     effect: Expr | None = None
 
 
-@dataclass(frozen=True)
-class PddlDomain:
+class PddlDomain(_Record):
+    """A plain record rather than a NamedTuple: ``planner.grounding``
+    holds the domain of its last call weakly."""
+
     name: str
     requirements: tuple[str, ...] = ()
     types: tuple[TypedName, ...] = ()
@@ -102,16 +148,14 @@ class PddlDomain:
     actions: tuple[PddlAction, ...] = ()
 
 
-@dataclass(frozen=True)
-class NumericInit:
+class NumericInit(NamedTuple):
     """(= (function) value) inside :init."""
 
     function: str
     value: int
 
 
-@dataclass(frozen=True)
-class PddlProblem:
+class PddlProblem(NamedTuple):
     name: str
     domain_name: str
     objects: tuple[TypedName, ...] = ()
@@ -120,13 +164,31 @@ class PddlProblem:
     minimize: str | None = None
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     action: str
     args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     steps: tuple[PlanStep, ...] = ()
     cost: int | None = None
+
+
+def _eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne(self, other):
+    return not _eq(self, other)
+
+
+def _hash(self):
+    return hash((type(self), tuple(self)))
+
+
+for _node in (
+    TypedName, Predicate, Atom, Not, And, Exists, Forall, When, Increase,
+    PddlAction, NumericInit, PddlProblem, PlanStep, Plan,
+):
+    _node.__eq__, _node.__ne__, _node.__hash__ = _eq, _ne, _hash
+del _node

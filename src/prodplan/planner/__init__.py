@@ -6,14 +6,14 @@ first imported and loaded through ctypes. Each exports one best-first
 ``search``, A* or greedy, and names itself in ``NAME``. The compiled one
 is picked when it loads; without a compiler or a writable cache the pure
 core is used.
-The kernel is imported only when a backend is first resolved, so a
-command that never searches never builds it.
+Each core is imported only when a backend is first resolved, so a
+command that never searches never builds the kernel, and a search on the
+compiled core never imports the pure one.
 """
 
 from __future__ import annotations
 
 from ..errors import BackendUnavailable
-from . import _pysearch
 from .grounding import GroundAction, GroundTask, ground
 
 
@@ -22,6 +22,12 @@ def _compiled():
     from . import _kernel
 
     return _kernel if _kernel.LIB is not None else None
+
+
+def _pure():
+    from . import _pysearch
+
+    return _pysearch
 
 
 def backend_name() -> str:
@@ -35,9 +41,9 @@ def available_backends() -> tuple[str, ...]:
 def backend_module(name: str | None = None):
     """Resolve a backend by name; None picks the best available."""
     if name in (None, "auto"):
-        return _compiled() or _pysearch
+        return _compiled() or _pure()
     if name == "pure":
-        return _pysearch
+        return _pure()
     if name == "compiled":
         compiled = _compiled()
         if compiled is None:

@@ -3,8 +3,11 @@
 The kernel source ships with the package. On first import it is
 compiled with the interpreter's C++ compiler (``sysconfig``'s ``CXX``)
 into a per-user cache directory, ``$XDG_CACHE_HOME/prodplan`` (default
-``~/.cache/prodplan``), as a shared library named by the SHA-256 of the
-source and the compile flags; later imports load it from there. ``LIB``
+``~/.cache/prodplan``), as a shared library named by 16 hex digits, the
+CRC-32 and then the Adler-32 of the source and the compile flags; later
+imports load it from there. The name only tells kernel sources apart: it
+is no defence against a changed library, since whoever can write the
+cache can write the library under any name. ``LIB``
 is None when there is no compiler or no writable cache, and the planner
 then uses the pure core; ``FAILURE`` then says why the build or load
 failed.
@@ -20,16 +23,16 @@ passed to the kernel is checked here first.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import sys
+import zlib
 from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64
 from itertools import accumulate
 from math import prod
 from pathlib import Path
 
-from ._pysearch import H_BLIND
+from ._common import H_BLIND
 
 NAME = "compiled"
 
@@ -57,8 +60,8 @@ def _build() -> Path:
     Raises OSError when the compiler or a writable cache is missing, or
     when the compiler fails or runs past its time limit.
     """
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
+    digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "prodplan"
     target = cache / f"_kernel-{digest}.so"
     if target.exists():
@@ -279,6 +282,8 @@ def tables(n_fluents, actions, values, implied_by, patterns, goal):
 
 
 def _take(plan, length) -> list[int]:
+    if not plan:  # NULL: the kernel allocated no plan on this side
+        return []
     try:
         return plan[: length.value]
     finally:

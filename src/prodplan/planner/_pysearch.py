@@ -45,28 +45,21 @@ import time
 from heapq import heappop, heappush
 from itertools import count
 
+from ._common import (
+    DEAD_END,
+    H_BLIND,
+    H_MAX,
+    MEMOUT,
+    SOLVED,
+    TIMEOUT,
+    UNSOLVABLE,
+    _bits,
+    _mask,
+)
+
 NAME = "pure"
-SOLVED, UNSOLVABLE, TIMEOUT, MEMOUT = 0, 1, 2, 3
-H_BLIND, H_MAX = 0, 1
 
 _INF = float("inf")
-# Pattern table entry of an abstract state that cannot reach the target.
-DEAD_END = 1 << 62
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _byte_table(values):

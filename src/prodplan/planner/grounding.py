@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from ..errors import GroundingError, TypeMismatch, UnboundVariable, UnsupportedFeature
 from ..pddl.ast import (
@@ -59,6 +59,7 @@ from ..pddl.ast import (
     PddlDomain,
     PddlProblem,
     When,
+    _Record,
 )
 
 # The largest cost of one ground action, about 68 years in seconds. A g
@@ -69,8 +70,7 @@ from ..pddl.ast import (
 MAX_ACTION_COST = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
     """Propositional action; fluents are indices into GroundTask.fluents."""
 
     name: str
@@ -86,8 +86,9 @@ class GroundAction:
         return " ".join((self.name,) + self.args)
 
 
-@dataclass(frozen=True)
-class GroundTask:
+class GroundTask(_Record):
+    """A plain record rather than a NamedTuple, for its ``cached_property``."""
+
     fluents: tuple[str, ...]
     init: frozenset[int]
     goal_pos: tuple[int, ...]
@@ -117,8 +118,7 @@ def _flatten(node: Expr | None) -> list[Expr]:
 _NOTHING: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class _Literal:
+class _Literal(NamedTuple):
     """A checked atom of a compiled schema. A binding is a list indexed by
     slot: one slot per variable and one per constant the schema names."""
 
@@ -226,16 +226,14 @@ class _Join:
             yield from self._bind(depth + 1, vals)
 
 
-@dataclass
-class _Exists:
+class _Exists(NamedTuple):
     join: _Join
     unless: list[_Literal]  # static atoms that must be false
     pos: list[_Literal]
     neg: list[_Literal]
 
 
-@dataclass
-class _Condition:
+class _Condition(NamedTuple):
     join: _Join  # binds the parameters through the positive static atoms
     unless: list[_Literal]  # static atoms that must be false
     foralls: list[tuple[_Join, list[_Literal], list[_Literal]]]
@@ -244,8 +242,7 @@ class _Condition:
     neg: list[_Literal]
 
 
-@dataclass
-class _EffectPart:
+class _EffectPart(NamedTuple):
     """Literals added and deleted for each binding of ``join`` (the
     ``forall`` variables, if any, through the static ``when`` condition)."""
 

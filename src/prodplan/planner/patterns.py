@@ -45,17 +45,16 @@ the kernel against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
-from ._pysearch import DEAD_END, _bits, _mask
+from ._common import DEAD_END, _bits, _mask
 from .grounding import fluent_atom
 
 
-@dataclass(frozen=True)
-class PatternTables:
+class PatternTables(NamedTuple):
     """The heuristic of one search side, as flat lookup tables.
 
     Fluent f sets variable ``var_of[f]`` (-1: none) to ``value_of[f]``;

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..errors import (
     CostMismatch,
@@ -14,7 +14,7 @@ from ..errors import (
 )
 from ..pddl import Plan, PlanStep
 from . import backend_module, backend_name
-from ._pysearch import H_BLIND, H_MAX, MEMOUT, SOLVED, TIMEOUT, UNSOLVABLE
+from ._common import H_BLIND, H_MAX, MEMOUT, SOLVED, TIMEOUT, UNSOLVABLE
 from .grounding import GroundTask, ground
 
 STATUS_NAMES = {
@@ -30,8 +30,7 @@ DEFAULT_NODE_LIMIT = 2_000_000
 BIDIRECTIONAL_NODE_LIMIT = 20_000_000
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str
     plan: Plan | None
     cost: int | None
@@ -134,7 +133,7 @@ def plan(domain, problem, workdir=None, *, solver_cmd=None, **search) -> SearchR
     if result.plan is not None:
         cost = validate_plan(task, result.plan)
         if result.plan.cost is None:
-            result = replace(result, plan=Plan(result.plan.steps, cost), cost=cost)
+            result = result._replace(plan=Plan(result.plan.steps, cost), cost=cost)
     return result
 
 
@@ -179,8 +178,7 @@ def _backward_input(task: GroundTask, reverse_task: GroundTask):
         raise GroundingError("reverse start state does not satisfy the forward goal")
 
     r_actions = [
-        replace(
-            a,
+        a._replace(
             pre_pos=aligned(a.pre_pos),
             pre_neg=aligned(a.pre_neg),
             add=aligned(a.add),

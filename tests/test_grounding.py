@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -332,7 +331,7 @@ def test_demo_goals_reuse_one_grounding(constructions):
     assert len(constructions) == 1
     assert all(task.actions is tasks[0].actions for task in tasks)
     for task, problem in zip(tasks, problems):
-        assert task == ground(replace(domain), problem)
+        assert task == ground(domain._replace(), problem)
     assert len(constructions) == 24
 
 

@@ -3,7 +3,7 @@
 Equal means the same fluents in the same order, the same init and goal,
 the same actions in the same order with the same costs, and the same
 ``goal_statically_false``; ``GroundTask`` and ``GroundAction`` are
-dataclasses, so ``==`` compares every field.
+records, so ``==`` compares every field.
 """
 
 from __future__ import annotations

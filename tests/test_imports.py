@@ -3,7 +3,8 @@
 ``import prodplan`` resolves its public names lazily, and the CLI
 imports the model side only in the subcommands that use it, so the
 ``prodplan solve`` child of an external-solver run loads only the
-parse, ground and search modules.
+parse, ground and search modules, and of those only what solving on the
+chosen core runs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,47 @@ def test_cli_loads_only_the_solve_path(child_pythonpath):
     }
     assert sorted(loaded & unused_by_solve) == []
     assert {"prodplan.pddl", "prodplan.planner.grounding", "prodplan.planner.search"} <= loaded
+
+
+def _loaded_by(code: str) -> set[str]:
+    """The modules loaded at the end of ``code``, which ends by printing
+    ``sys.modules`` on its last line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+def test_solve_child_loads_only_what_solving_needs(tmp_path, child_pythonpath, mode):
+    from prodplan import build_demo_model, demo_goal_2341, derive_domain, derive_problem
+    from prodplan.pddl import write_domain, write_problem
+    from prodplan.planner import available_backends
+
+    model = build_demo_model()
+    domain, report = derive_domain(model)
+    paths = {"domain": tmp_path / "domain.pddl", "problem": tmp_path / "problem.pddl"}
+    paths["domain"].write_text(write_domain(domain), encoding="utf-8")
+    paths["problem"].write_text(
+        write_problem(derive_problem(model, demo_goal_2341(), report)), encoding="utf-8"
+    )
+    argv = ["solve", "--mode", mode]
+    for name, path in paths.items():
+        argv += [f"--{name}", str(path)]
+    code = (
+        "import sys\n"
+        "from prodplan.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*sys.modules)"
+    )
+    # site hooks may load some modules before any code runs; count only the rest
+    loaded = _loaded_by(code) - _loaded_by("import sys\nprint(*sys.modules)")
+    assert "prodplan.planner.search" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "hashlib", "_hashlib"}) == []
+    if "compiled" in available_backends():
+        assert "prodplan.planner._kernel" in loaded
+        assert "prodplan.planner._pysearch" not in loaded
 
 
 def test_operations_loads_no_search_code(child_pythonpath):

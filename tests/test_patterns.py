@@ -8,7 +8,6 @@ be INF where the goal can still be reached.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 
 import pytest
@@ -167,9 +166,9 @@ def test_compiled_backend_rejects_tables_that_index_past_their_end():
     init = sorted(task.init)
     tables = pattern_tables(task.fluents, init, task.goal_pos, task.goal_neg, task.actions)
     offset, a, stride_a, b, stride_b = tables.patterns[-1]
-    short = dataclasses.replace(tables, table=tables.table[:-1])
-    shifted = dataclasses.replace(
-        tables, patterns=(*tables.patterns[:-1], (offset + 1, a, stride_a, b, stride_b))
+    short = tables._replace(table=tables.table[:-1])
+    shifted = tables._replace(
+        patterns=(*tables.patterns[:-1], (offset + 1, a, stride_a, b, stride_b))
     )
     for broken in (short, shifted):
         with pytest.raises(ValueError):
@@ -203,10 +202,10 @@ def _broken_inputs(invariants, tables):
     q = min(implied_by)
     move = actions[0]
     for bad_actions in (
-        [dataclasses.replace(move, add=(n,)), *actions[1:]],
-        [dataclasses.replace(move, pre_neg=(-1,)), *actions[1:]],
-        [dataclasses.replace(move, cost=-1), *actions[1:]],
-        [dataclasses.replace(move, cost=2**63), *actions[1:]],
+        [move._replace(add=(n,)), *actions[1:]],
+        [move._replace(pre_neg=(-1,)), *actions[1:]],
+        [move._replace(cost=-1), *actions[1:]],
+        [move._replace(cost=2**63), *actions[1:]],
     ):
         yield "invariants", (n, variables, init, bad_actions)
         yield "tables", (n, bad_actions, values, implied_by, patterns, goal)
@@ -243,7 +242,7 @@ def test_compiled_pattern_stages_reject_input_out_of_range():
 @pytest.mark.parametrize("cost", [2**61, DEAD_END - 1, 2**63 - 1])
 def test_compiled_table_entries_saturate_at_dead_end(cost):
     task = _ring_task(5)
-    actions = [dataclasses.replace(a, cost=cost) for a in task.actions]
+    actions = [a._replace(cost=cost) for a in task.actions]
     args = (task.fluents, sorted(task.init), task.goal_pos, task.goal_neg, actions)
     compiled = pattern_tables(*args, core=backend_module("compiled"))
     assert compiled == pattern_tables(*args)

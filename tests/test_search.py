@@ -117,9 +117,7 @@ def test_optimal_from_every_reachable_state(demo_task, backend):
     distances = oracles.all_goal_distances(demo_task)
     fluent_index = {name: i for i, name in enumerate(demo_task.fluents)}
     for state, expected in sorted(distances.items(), key=lambda kv: sorted(kv[0])):
-        shifted = dataclasses.replace(
-            demo_task, init=frozenset(fluent_index[f] for f in state)
-        )
+        shifted = demo_task._replace(init=frozenset(fluent_index[f] for f in state))
         result = solve(shifted, backend=backend)
         if expected is None:
             assert result.status == "unsolvable"
