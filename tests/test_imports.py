@@ -24,7 +24,7 @@ def _run(code: str):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -53,16 +53,6 @@ def test_cli_loads_only_the_solve_path(child_pythonpath):
     assert {"prodplan.pddl", "prodplan.planner.grounding", "prodplan.planner.search"} <= loaded
 
 
-def _loaded_by(code: str) -> set[str]:
-    """The modules loaded at the end of ``code``, which ends by printing
-    ``sys.modules`` on its last line."""
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
-
-
 @pytest.mark.parametrize("mode", ["optimal", "greedy"])
 def test_solve_child_loads_only_what_solving_needs(tmp_path, child_pythonpath, mode):
     from prodplan import build_demo_model, demo_goal_2341, derive_domain, derive_problem
@@ -79,14 +69,9 @@ def test_solve_child_loads_only_what_solving_needs(tmp_path, child_pythonpath, m
     argv = ["solve", "--mode", mode]
     for name, path in paths.items():
         argv += [f"--{name}", str(path)]
-    code = (
-        "import sys\n"
-        "from prodplan.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print(*sys.modules)"
-    )
+    solved = _loaded_after(f"from prodplan.cli import main\nassert main({argv!r}) == 0")
     # site hooks may load some modules before any code runs; count only the rest
-    loaded = _loaded_by(code) - _loaded_by("import sys\nprint(*sys.modules)")
+    loaded = solved - _loaded_after("pass")
     assert "prodplan.planner.search" in loaded
     assert sorted(loaded & {"dataclasses", "inspect", "hashlib", "_hashlib"}) == []
     if "compiled" in available_backends():
