@@ -1001,8 +1001,9 @@ void release(int* plan) { std::free(plan); }
 // toward init, on its own tables. Returns the status; counts receives
 // (expanded, generated, cost), *plan the forward plan and *plan_b the
 // backward half, which traces init_b toward the meet state in
-// application order; both are freed with release(). Running out of
-// memory ends the search with MEMOUT. Action costs must not be negative.
+// application order, or NULL without a backward side; a plan that is not
+// NULL is freed with release(). Running out of memory ends the search
+// with MEMOUT. Action costs must not be negative.
 int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int n_goal_pos,
            const int* goal_neg, int n_goal_neg, int n_actions, const int* start,
            const int* fluents, const int64_t* cost, int heuristic, int n_vars, const int* var_of,
@@ -1016,6 +1017,7 @@ int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
     Result result;
     int status = MEMOUT;
     *plan = *plan_b = NULL;
+    *plan_len = *plan_b_len = 0;
     try {
         const int words = words_for(n_fluents);
         const ActionSet actions = {n_actions, start, fluents, cost};
@@ -1037,7 +1039,7 @@ int search(int n_fluents, const int* init, int n_init, const int* goal_pos, int 
                          : run<false>(start_f, goal, fwd, start_b, bwd.get(), deadline,
                                       node_limit, result);
         *plan = hand_over(result.plan, plan_len);
-        *plan_b = hand_over(result.plan_b, plan_b_len);
+        if (bwd) *plan_b = hand_over(result.plan_b, plan_b_len);
     } catch (const std::exception&) {  // only allocations throw
         status = MEMOUT;
         result.cost = 0;

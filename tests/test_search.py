@@ -198,6 +198,30 @@ def test_compiled_backend_rejects_negative_costs():
         solve(task, backend="compiled")
 
 
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="needs the compiled backend")
+def test_compiled_search_releases_only_the_plans_it_was_handed(monkeypatch, demo_task):
+    from prodplan.planner import _kernel
+
+    real, released = _kernel.LIB, []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def release(self, plan):
+            released.append(bool(plan))
+            real.release(plan)
+
+    monkeypatch.setattr(_kernel, "LIB", Counting())
+    # a single-frontier search hands over one plan, the two-frontier one two
+    for mode in ("optimal", "greedy"):
+        assert solve(demo_task, mode=mode, backend="compiled").solved
+    assert released == [True, True]
+    task, reverse = _ring_task(5, reverse=True)
+    assert solve_bidirectional(task, reverse, backend="compiled").solved
+    assert released == [True] * 4
+
+
 def test_backends_agree_at_the_largest_action_cost():
     # every move costs MAX_ACTION_COST, and no g value, h value or table
     # entry reaches the cores' 2**62 sentinels
