@@ -138,8 +138,8 @@ def test_replace_changes_only_the_named_fields(records):
         assert getattr(changed, first) == value
         assert [getattr(changed, f) for f in rest] == [getattr(record, f) for f in rest]
         assert record._replace() == record
-    with pytest.raises((TypeError, ValueError)):
-        records[-1]._replace(no_such_field=1)
+        with pytest.raises((TypeError, ValueError)):
+            record._replace(no_such_field=1)
 
 
 def test_domain_and_task_are_plain_records(records):
